@@ -90,7 +90,7 @@ fn bench_collectives(c: &mut Criterion) {
             b.iter(|| {
                 simmpi::World::new(cluster.clone()).run(|p| {
                     for _ in 0..100 {
-                        p.barrier().ready();
+                        p.block_on(|p| p.barrier());
                     }
                     p.now()
                 })

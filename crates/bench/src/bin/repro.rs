@@ -173,11 +173,8 @@ fn main() {
     }
     if want("table1") {
         section("table1");
-        // An explicit --ranks runs on the event scheduler: it is the only
-        // backend that hosts the paper's 16,384 processes in one address
-        // space (thread-per-rank tops out thousands earlier).
         let t = match ranks_override {
-            Some(ranks) => table1_validation::run_at(effort, ranks, simmpi::SimBackend::event()),
+            Some(ranks) => table1_validation::run_at(effort, ranks),
             None => table1_validation::run(effort),
         };
         println!("{}", t.render());

@@ -138,6 +138,10 @@ fn workloads(effort: Effort) -> Vec<(&'static str, Prepared)> {
 }
 
 fn measure(prepared: &Prepared, ranks: usize, backend: ExecBackend) -> (u64, f64) {
+    // Both executors run on the thread-per-rank oracle host: the
+    // tree-walker cannot yield to the event scheduler, and a speedup is
+    // only meaningful between runs on the same host.
+    //
     // Cell wall timings have a heavy right tail: rank-thread scheduling
     // and allocator state left by earlier runs in the same process can
     // slow an unlucky run by ~25% without meaning anything about the
@@ -154,7 +158,7 @@ fn measure(prepared: &Prepared, ranks: usize, backend: ExecBackend) -> (u64, f64
         };
         let cluster = Arc::new(scenarios::healthy(ranks).build());
         let started = Instant::now();
-        let run = prepared.run(cluster, &config);
+        let run = prepared.run_oracle(cluster, &config);
         let wall_ns = started.elapsed().as_nanos() as u64;
         best_wall_ns = best_wall_ns.min(wall_ns);
         simulated = run.run_time.as_secs_f64();

@@ -2,9 +2,8 @@
 //!
 //! The paper evaluates vSensor at 16,384 MPI processes; the reproduction
 //! must therefore *host* 16,384 simulated ranks in one address space. The
-//! thread-per-rank backend tops out at a few thousand OS threads, so the
-//! event scheduler ([`SimBackend::Event`]) carries the paper-scale runs —
-//! and this module records how its throughput scales with the rank count.
+//! event scheduler does, and this module records how its throughput scales
+//! with the rank count.
 //!
 //! The workload is the communication shape the eight miniapps share: a
 //! compute slice, a neighbour `mpi_sendrecv` ring exchange, an
@@ -23,7 +22,6 @@
 //! The `repro` binary serializes the sweep to `BENCH_simmpi.json` so the
 //! committed baseline records the 1,024 → 16,384 scaling curve.
 
-use simmpi::SimBackend;
 use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Instant;
@@ -161,7 +159,7 @@ fn measure(prepared: &Prepared, ranks: usize) -> ScaleRow {
     for _ in 0..reps {
         let cluster = Arc::new(scenarios::quiet(ranks).build());
         let started = Instant::now();
-        let results = prepared.run_plain_on(cluster, SimBackend::event());
+        let results = prepared.run_plain(cluster);
         let wall_ns = started.elapsed().as_nanos() as u64;
         best_wall_ns = best_wall_ns.min(wall_ns);
         virtual_secs = results
@@ -241,7 +239,7 @@ pub fn profile(ranks: usize) -> ScaleProfile {
     let session = TraceSession::start(Category::SCHED);
     let cluster = Arc::new(scenarios::quiet(ranks).build());
     let started = Instant::now();
-    let _ = prepared.run_plain_on(cluster, SimBackend::event());
+    let _ = prepared.run_plain(cluster);
     let wall_ns = started.elapsed().as_nanos() as u64;
     let trace = session.finish();
     let mut phase_ns = Vec::new();

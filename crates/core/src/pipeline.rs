@@ -3,8 +3,8 @@
 use std::sync::Arc;
 use vsensor_analysis::{analyze, Analysis, AnalysisConfig, SnippetType};
 use vsensor_interp::{
-    run_instrumented_shared, run_instrumented_sink, run_plain_shared, ExecBackend, InstrumentedRun,
-    RankResult, RunConfig,
+    run_instrumented_oracle, run_instrumented_shared, run_instrumented_sink, run_plain_shared,
+    ExecBackend, InstrumentedRun, RankResult, RunConfig,
 };
 use vsensor_lang::Program;
 use vsensor_runtime::{AnalysisSink, SensorInfo, SensorKind};
@@ -101,6 +101,23 @@ impl Prepared {
         )
     }
 
+    /// [`Self::run`] with one OS thread per rank — simmpi's oracle host —
+    /// for either executor (`config.backend`). The differential suites
+    /// compare it against the event scheduler, and it is the one host on
+    /// which the tree-walker and the VM can be timed against each other.
+    pub fn run_oracle(
+        &self,
+        cluster: Arc<cluster_sim::Cluster>,
+        config: &RunConfig,
+    ) -> InstrumentedRun {
+        run_instrumented_oracle(
+            self.instrumented.clone(),
+            self.sensors.clone(),
+            cluster,
+            config,
+        )
+    }
+
     /// Run the instrumented program routing its telemetry into an
     /// arbitrary analysis sink — how a tenant's job joins a shared
     /// [`vsensor_runtime::AnalysisService`] (via a
@@ -126,8 +143,8 @@ impl Prepared {
         self.run_plain_on(cluster, simmpi::SimBackend::default())
     }
 
-    /// [`Self::run_plain`] on an explicit simulation backend — the event
-    /// scheduler runs paper-scale worlds (16k+ ranks) in one process.
+    /// [`Self::run_plain`] with explicit event-scheduler dispatch (serial
+    /// or a worker pool; results are bit-identical either way).
     pub fn run_plain_on(
         &self,
         cluster: Arc<cluster_sim::Cluster>,
@@ -142,7 +159,7 @@ impl Prepared {
         self.measure_overhead_on(cluster, simmpi::SimBackend::default())
     }
 
-    /// [`Self::measure_overhead`] on an explicit simulation backend.
+    /// [`Self::measure_overhead`] with explicit event-scheduler dispatch.
     pub fn measure_overhead_on(
         &self,
         cluster: Arc<cluster_sim::Cluster>,

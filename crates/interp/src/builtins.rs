@@ -83,30 +83,34 @@ impl Builtin {
 /// Dispatch a builtin by name. Returns `None` if the name is not a builtin
 /// (the machine then reports an unknown-function error, matching the
 /// conservative front-end which already treats it as never-fixed).
-///
-/// The tree-walker only runs on the thread-per-rank backend, where every
-/// MPI operation completes in place — a `Pending` here is a driver bug.
 pub fn call_builtin(
-    m: &mut Machine<'_>,
+    m: &mut Machine,
     name: &str,
     args: &[Value],
 ) -> Option<Result<Value, ExecError>> {
     let builtin = Builtin::from_name(name)?;
-    Some(dispatch(m, builtin, args).map(|v| {
-        v.expect("blocking builtin suspended under the tree-walker (event backend requires the VM)")
-    }))
+    // The tree-walker cannot suspend mid-expression, so a `Pending` MPI
+    // operation parks the rank thread and re-dispatches once the world
+    // changes (thread-per-rank oracle host only).
+    loop {
+        match dispatch(m, builtin, args) {
+            Ok(Some(v)) => return Some(Ok(v)),
+            Ok(None) => m.proc().park(),
+            Err(e) => return Some(Err(e)),
+        }
+    }
 }
 
 /// Execute a resolved builtin. Shared by the tree-walker (via
 /// [`call_builtin`]) and the bytecode VM (which pre-binds the id).
 ///
-/// Returns `Ok(None)` when the builtin's MPI operation is `Pending` (event
-/// backend only): the caller must suspend the rank and re-dispatch the same
-/// builtin on resume — argument parsing and `sync_clock` are idempotent
+/// Returns `Ok(None)` when the builtin's MPI operation is `Pending`: the
+/// caller must suspend (VM) or park (tree-walker) the rank and re-dispatch
+/// the same builtin — argument parsing and `sync_clock` are idempotent
 /// across the retry (no work accrues while suspended), and the `Proc`
 /// carries the latched operation.
 pub(crate) fn dispatch(
-    m: &mut Machine<'_>,
+    m: &mut Machine,
     builtin: Builtin,
     args: &[Value],
 ) -> Result<Option<Value>, ExecError> {

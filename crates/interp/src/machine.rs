@@ -74,51 +74,11 @@ enum Flow {
     Continue,
 }
 
-/// How a [`Machine`] holds its rank handle: borrowed from a rank thread
-/// (the thread-per-rank backend) or owned outright by an event-scheduler
-/// task, which must carry the `Proc` across yields.
-pub enum ProcRef<'w> {
-    /// Borrowed from the enclosing rank thread.
-    Borrowed(&'w mut Proc),
-    /// Owned by the machine itself (event backend; `Machine<'static>`).
-    Owned(Box<Proc>),
-}
-
-impl std::ops::Deref for ProcRef<'_> {
-    type Target = Proc;
-    fn deref(&self) -> &Proc {
-        match self {
-            ProcRef::Borrowed(p) => p,
-            ProcRef::Owned(p) => p,
-        }
-    }
-}
-
-impl std::ops::DerefMut for ProcRef<'_> {
-    fn deref_mut(&mut self) -> &mut Proc {
-        match self {
-            ProcRef::Borrowed(p) => p,
-            ProcRef::Owned(p) => p,
-        }
-    }
-}
-
-impl<'w> From<&'w mut Proc> for ProcRef<'w> {
-    fn from(p: &'w mut Proc) -> Self {
-        ProcRef::Borrowed(p)
-    }
-}
-
-impl From<Proc> for ProcRef<'static> {
-    fn from(p: Proc) -> Self {
-        ProcRef::Owned(Box::new(p))
-    }
-}
-
-/// The per-rank interpreter.
-pub struct Machine<'w> {
+/// The per-rank interpreter. It owns its rank's `Proc`, so a rank task can
+/// carry the machine across yields.
+pub struct Machine {
     program: Arc<Program>,
-    proc: ProcRef<'w>,
+    proc: Box<Proc>,
     globals: Env,
     pending: Work,
     miss_rate: f64,
@@ -178,15 +138,10 @@ impl SensorHarness {
     }
 }
 
-impl<'w> Machine<'w> {
+impl Machine {
     /// Create a machine for one rank. Pass `sensors` for instrumented
-    /// runs. The rank handle may be borrowed (thread backend) or owned
-    /// (event backend) — see [`ProcRef`].
-    pub fn new(
-        program: Arc<Program>,
-        proc: impl Into<ProcRef<'w>>,
-        sensors: Option<SensorHarness>,
-    ) -> Self {
+    /// runs.
+    pub fn new(program: Arc<Program>, proc: Proc, sensors: Option<SensorHarness>) -> Self {
         let mut globals = Env::new();
         for g in &program.globals {
             let v = match g.init {
@@ -195,11 +150,10 @@ impl<'w> Machine<'w> {
             };
             globals.declare(&g.name, v);
         }
-        let proc = proc.into();
         let rand_seed = 0x7ea5_0000 ^ proc.rank() as u64;
         Machine {
             program,
-            proc,
+            proc: Box::new(proc),
             globals,
             pending: Work::default(),
             miss_rate: 0.0,
@@ -212,8 +166,10 @@ impl<'w> Machine<'w> {
         }
     }
 
-    /// Execute `main`; returns the finalized sensor state.
-    pub fn run(mut self) -> Result<MachineResult, ExecError> {
+    /// Execute `main` on the tree-walker; returns the finalized sensor
+    /// state. Blocking builtins park the rank until they complete
+    /// ([`Proc::park`]), so this needs the thread-per-rank oracle host.
+    pub fn run(&mut self) -> Result<MachineResult, ExecError> {
         let main = self
             .program
             .function_index("main")
@@ -227,11 +183,10 @@ impl<'w> Machine<'w> {
     }
 
     /// Flush pending work and collect the run's results. Shared tail of the
-    /// tree-walker [`Self::run`], the bytecode VM (`vm::run_vm`) and the
-    /// event-scheduler task driver, so every backend finishes a rank
-    /// identically. Takes `&mut self` because an event task must keep its
-    /// owned `Proc` reachable after completion (the scheduler drains the
-    /// rank's final notifications).
+    /// tree-walker [`Self::run`] and the bytecode VM's task driver, so both
+    /// executors finish a rank identically. Takes `&mut self` because a
+    /// task must keep its owned `Proc` reachable after completion (the
+    /// scheduler drains the rank's final notifications).
     pub(crate) fn finalize(&mut self) -> MachineResult {
         self.sync_clock();
         let mut end = self.proc.now();
@@ -845,23 +800,79 @@ pub(crate) fn binop(op: BinOp, l: Value, r: Value) -> Result<Value, ExecError> {
     })
 }
 
+/// Oracle-hosted runs that keep each rank's [`ExecError`] instead of
+/// panicking, for the interpreter's own tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use crate::bytecode::CompiledProgram;
+    use crate::vm::{resume_vm, VmState};
+    use cluster_sim::ClusterConfig;
+    use simmpi::{RankTask, TaskPoll, World};
+
+    struct TestRank {
+        machine: Machine,
+        /// The VM's program and suspended state; `None` runs the walker.
+        vm: Option<(Arc<CompiledProgram>, VmState)>,
+    }
+
+    impl RankTask for TestRank {
+        type Output = Result<MachineResult, ExecError>;
+
+        fn resume(&mut self) -> TaskPoll<Self::Output> {
+            let Some((compiled, st)) = &mut self.vm else {
+                return TaskPoll::Ready(self.machine.run());
+            };
+            match resume_vm(&mut self.machine, compiled, st) {
+                Ok(true) => TaskPoll::Ready(Ok(self.machine.finalize())),
+                Ok(false) => TaskPoll::Yielded,
+                Err(e) => TaskPoll::Ready(Err(e)),
+            }
+        }
+
+        fn proc_mut(&mut self) -> &mut Proc {
+            self.machine.proc()
+        }
+    }
+
+    /// Run `program` on `ranks` quiet ranks, thread-per-rank: on the VM
+    /// when `compiled` is given, else on the tree-walker.
+    pub(crate) fn run_quiet(
+        program: &Arc<Program>,
+        ranks: usize,
+        compiled: Option<&Arc<CompiledProgram>>,
+    ) -> Vec<Result<MachineResult, ExecError>> {
+        let world = World::new(Arc::new(ClusterConfig::quiet(ranks).build()));
+        world.run_threaded(
+            |_, proc| TestRank {
+                machine: Machine::new(program.clone(), proc, None),
+                vm: compiled.map(|c| (c.clone(), VmState::new())),
+            },
+            |death, _| panic!("no deaths planned: {death:?}"),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster_sim::ClusterConfig;
-    use simmpi::World;
 
     /// Run an uninstrumented program on `ranks` quiet ranks, returning the
     /// per-rank results.
     fn run_src(src: &str, ranks: usize) -> Vec<MachineResult> {
         let program = Arc::new(vsensor_lang::compile(src).unwrap());
-        let cluster = Arc::new(ClusterConfig::quiet(ranks).build());
-        let world = World::new(cluster);
-        world.run(|proc| {
-            Machine::new(program.clone(), proc, None)
-                .run()
-                .expect("program runs")
-        })
+        testing::run_quiet(&program, ranks, None)
+            .into_iter()
+            .map(|r| r.expect("program runs"))
+            .collect()
+    }
+
+    /// The error a one-rank run of `src` stops with.
+    fn error_of(src: &str) -> ExecError {
+        let program = Arc::new(vsensor_lang::compile(src).unwrap());
+        testing::run_quiet(&program, 1, None)[0]
+            .clone()
+            .expect_err("program fails")
     }
 
     #[test]
@@ -914,21 +925,14 @@ mod tests {
 
     #[test]
     fn division_by_zero_is_reported() {
-        let program =
-            Arc::new(vsensor_lang::compile("fn main() { int x = 0; int y = 5 / x; }").unwrap());
-        let cluster = Arc::new(ClusterConfig::quiet(1).build());
-        let world = World::new(cluster);
-        let errs = world.run(|proc| Machine::new(program.clone(), proc, None).run().unwrap_err());
-        assert!(errs[0].message.contains("division by zero"));
+        let err = error_of("fn main() { int x = 0; int y = 5 / x; }");
+        assert!(err.message.contains("division by zero"));
     }
 
     #[test]
     fn array_out_of_bounds_is_reported() {
-        let program = Arc::new(vsensor_lang::compile("fn main() { int a[4]; a[9] = 1; }").unwrap());
-        let cluster = Arc::new(ClusterConfig::quiet(1).build());
-        let errs = World::new(cluster)
-            .run(|proc| Machine::new(program.clone(), proc, None).run().unwrap_err());
-        assert!(errs[0].message.contains("out of bounds"));
+        let err = error_of("fn main() { int a[4]; a[9] = 1; }");
+        assert!(err.message.contains("out of bounds"));
     }
 
     #[test]
@@ -960,14 +964,8 @@ mod tests {
 
     #[test]
     fn recursion_guard_fires() {
-        let program = Arc::new(
-            vsensor_lang::compile("fn f(int n) -> int { return f(n + 1); } fn main() { f(0); }")
-                .unwrap(),
-        );
-        let cluster = Arc::new(ClusterConfig::quiet(1).build());
-        let errs = World::new(cluster)
-            .run(|proc| Machine::new(program.clone(), proc, None).run().unwrap_err());
-        assert!(errs[0].message.contains("call depth"));
+        let err = error_of("fn f(int n) -> int { return f(n + 1); } fn main() { f(0); }");
+        assert!(err.message.contains("call depth"));
     }
 
     #[test]

@@ -4,14 +4,21 @@
 //! baseline); [`run_instrumented`] executes an instrumented one with the
 //! full dynamic module attached — per-rank sensor runtimes, a shared
 //! analysis server, and a final [`VarianceReport`].
+//!
+//! Every VM rank runs on the event scheduler. The tree-walker cannot yield,
+//! so [`ExecBackend::TreeWalker`] runs thread-per-rank on simmpi's oracle
+//! host, parking inside blocking builtins. [`run_plain_oracle`] and
+//! [`run_instrumented_oracle`] put either executor on that host — the
+//! differential suites compare it against the scheduler, and the
+//! interpreter speed study times both executors on it.
 
 use crate::bytecode::{self, CompiledProgram};
-use crate::machine::{ExecError, Machine, MachineResult, SensorHarness};
+use crate::machine::{Machine, MachineResult, SensorHarness};
 use crate::validate::{self, ValidationStats};
 use crate::vm::{self, VmState};
 use cluster_sim::time::{Duration, VirtualTime};
 use cluster_sim::Cluster;
-use simmpi::{RankTask, SimBackend, TaskPoll};
+use simmpi::{Proc, RankTask, SimBackend, TaskPoll};
 use std::sync::Arc;
 use vsensor_lang::Program;
 use vsensor_runtime::{
@@ -27,28 +34,28 @@ pub enum ExecBackend {
     #[default]
     Vm,
     /// The original tree-walking interpreter; kept as the differential
-    /// oracle the VM is validated against.
+    /// oracle the VM is validated against. Runs thread-per-rank.
     TreeWalker,
 }
 
-/// A program prepared for execution on some backend. Bytecode is compiled
-/// exactly once here and shared (via `Arc` clones of the executor) across
-/// all rank threads.
+/// A program prepared for execution: bytecode is compiled exactly once
+/// here and shared (via `Arc` clones of the executor) across all ranks.
 #[derive(Clone)]
 pub struct Executor {
     program: Arc<Program>,
-    /// Present iff the backend is [`ExecBackend::Vm`].
-    compiled: Option<Arc<CompiledProgram>>,
+    compiled: Arc<CompiledProgram>,
+    backend: ExecBackend,
 }
 
 impl Executor {
     /// Prepare `program` for the given backend.
     pub fn new(program: Arc<Program>, backend: ExecBackend) -> Self {
-        let compiled = match backend {
-            ExecBackend::Vm => Some(Arc::new(bytecode::compile(&program))),
-            ExecBackend::TreeWalker => None,
-        };
-        Executor { program, compiled }
+        let compiled = Arc::new(bytecode::compile(&program));
+        Executor {
+            program,
+            compiled,
+            backend,
+        }
     }
 
     /// The shared program.
@@ -56,16 +63,12 @@ impl Executor {
         &self.program
     }
 
-    /// Execute one rank on the prepared backend.
-    pub fn run_rank(
-        &self,
-        proc: &mut simmpi::Proc,
-        sensors: Option<SensorHarness>,
-    ) -> Result<MachineResult, ExecError> {
+    /// Rank `proc`'s program as a task either host can drive.
+    fn task(&self, proc: Proc, sensors: Option<SensorHarness>) -> RankRun {
         let machine = Machine::new(self.program.clone(), proc, sensors);
-        match &self.compiled {
-            Some(compiled) => vm::run_vm(machine, compiled),
-            None => machine.run(),
+        match self.backend {
+            ExecBackend::Vm => RankRun::Vm(VmTask::new(machine, self.compiled.clone())),
+            ExecBackend::TreeWalker => RankRun::Walker(machine),
         }
     }
 }
@@ -79,10 +82,8 @@ pub struct RunConfig {
     pub rule: Arc<dyn DynamicRule>,
     /// Execution engine (defaults to the bytecode VM).
     pub backend: ExecBackend,
-    /// Which simmpi backend hosts the ranks: thread-per-rank (default) or
-    /// the event-driven virtual-time scheduler. The event backend requires
-    /// [`ExecBackend::Vm`] and produces bit-identical results while
-    /// scaling to paper-size worlds (16k+ ranks) in one process.
+    /// How the event scheduler dispatches VM ranks: serially (default) or
+    /// on a worker pool, with bit-identical results either way.
     pub sim: SimBackend,
     /// Cross-run baseline store to attach (with this run's id) to the
     /// analysis server: detection thresholds turn history-adaptive and
@@ -103,27 +104,44 @@ impl Default for RunConfig {
     }
 }
 
-/// One rank of a VM run as a resumable event-scheduler task: the machine
-/// owns its `Proc`, the [`VmState`] carries the suspended interpreter, and
-/// every `resume` continues the dispatch loop until the next `Pending`
-/// MPI operation or the end of `main`.
+/// Where a run's ranks execute.
+#[derive(Clone, Copy, Debug)]
+enum Host {
+    /// The event scheduler, with this many dispatch workers.
+    Event(usize),
+    /// One OS thread per rank: simmpi's oracle host.
+    Threads,
+}
+
+impl Host {
+    /// The production host: the event scheduler, except for the
+    /// tree-walker, which cannot yield.
+    fn production(backend: ExecBackend, sim: SimBackend) -> Self {
+        let SimBackend::Event { workers } = sim;
+        match backend {
+            ExecBackend::Vm => Host::Event(workers),
+            ExecBackend::TreeWalker => Host::Threads,
+        }
+    }
+}
+
+/// One rank of a VM run as a resumable task: the machine owns its `Proc`,
+/// the [`VmState`] carries the suspended interpreter, and every `resume`
+/// continues the dispatch loop until the next `Pending` MPI operation or
+/// the end of `main`.
 struct VmTask {
-    machine: Machine<'static>,
+    machine: Machine,
     state: VmState,
     compiled: Arc<CompiledProgram>,
-    /// `(lane, start)` of the per-rank VM trace span, mirroring
-    /// `vm::run_vm`'s bracket on the threaded backend.
+    /// `(lane, start)` of the per-rank VM trace span.
     traced: Option<(u32, VirtualTime)>,
 }
 
 impl VmTask {
-    fn new(
-        program: Arc<Program>,
-        compiled: Arc<CompiledProgram>,
-        proc: simmpi::Proc,
-        sensors: Option<SensorHarness>,
-    ) -> Self {
-        let machine = Machine::new(program, proc, sensors);
+    fn new(machine: Machine, compiled: Arc<CompiledProgram>) -> Self {
+        // Trace the whole VM run as one virtual-time span per rank. Reading
+        // the clock here charges nothing, so traced and untraced runs are
+        // bit-identical.
         let traced = cluster_sim::trace::enabled(cluster_sim::trace::Category::VM)
             .then(|| (machine.trace_lane(), machine.now()));
         VmTask {
@@ -133,10 +151,6 @@ impl VmTask {
             traced,
         }
     }
-}
-
-impl RankTask for VmTask {
-    type Output = MachineResult;
 
     fn resume(&mut self) -> TaskPoll<MachineResult> {
         match vm::resume_vm(&mut self.machine, &self.compiled, &mut self.state) {
@@ -157,25 +171,62 @@ impl RankTask for VmTask {
                 TaskPoll::Ready(result)
             }
             Ok(false) => TaskPoll::Yielded,
-            // Matches the threaded driver: program errors become a panic
-            // the world relabels with the rank ID.
+            // Program errors become a panic the host relabels with the
+            // rank ID.
             Err(e) => panic!("{e}"),
         }
     }
+}
 
-    fn proc_mut(&mut self) -> &mut simmpi::Proc {
-        self.machine.proc()
+/// One rank on either executor.
+enum RankRun {
+    /// Yields at every `Pending` MPI operation.
+    Vm(VmTask),
+    /// Runs `main` to completion in one `resume`, parking inside blocking
+    /// builtins — so it needs the thread-per-rank host.
+    Walker(Machine),
+}
+
+impl RankTask for RankRun {
+    type Output = MachineResult;
+
+    fn resume(&mut self) -> TaskPoll<MachineResult> {
+        match self {
+            RankRun::Vm(task) => task.resume(),
+            RankRun::Walker(machine) => {
+                TaskPoll::Ready(machine.run().unwrap_or_else(|e| panic!("{e}")))
+            }
+        }
+    }
+
+    fn proc_mut(&mut self) -> &mut Proc {
+        match self {
+            RankRun::Vm(task) => task.machine.proc(),
+            RankRun::Walker(machine) => machine.proc(),
+        }
     }
 }
 
-/// The compiled program an event run needs, or a clear panic: the
-/// tree-walker cannot suspend, so it only runs thread-per-rank.
-fn event_compiled(exec: &Executor) -> Arc<CompiledProgram> {
-    exec.compiled.clone().unwrap_or_else(|| {
-        panic!(
-            "the event scheduler (SimBackend::Event) requires the bytecode VM              (ExecBackend::Vm); the tree-walking interpreter cannot yield and              only runs on the thread-per-rank backend"
-        )
-    })
+/// Run every rank of `cluster` on `host`. `sensors` builds a rank's sensor
+/// harness (`None` for plain runs). The one per-rank harness both hosts
+/// share.
+fn run_ranks(
+    exec: &Executor,
+    cluster: Arc<Cluster>,
+    host: Host,
+    sensors: impl Fn(usize, &Proc) -> Option<SensorHarness> + Sync,
+) -> Vec<RankResult> {
+    let world = simmpi::World::new(cluster);
+    let make = |rank, proc: Proc| {
+        let harness = sensors(rank, &proc);
+        exec.task(proc, harness)
+    };
+    let on_death = |death, task: &mut RankRun| dead_rank_result(death, task.proc_mut());
+    let results = match host {
+        Host::Event(workers) => world.run_event_workers(workers, make, on_death),
+        Host::Threads => world.run_threaded(make, on_death),
+    };
+    results.into_iter().map(RankResult::from).collect()
 }
 
 /// Per-rank outcome (re-exported view over the machine result).
@@ -222,8 +273,8 @@ pub fn run_plain(program: &Program, cluster: Arc<Cluster>) -> Vec<RankResult> {
     )
 }
 
-/// [`run_plain`] without the program clone, on explicit execution and
-/// simulation backends.
+/// [`run_plain`] without the program clone, on an explicit executor and
+/// scheduler dispatch.
 pub fn run_plain_shared(
     program: Arc<Program>,
     cluster: Arc<Cluster>,
@@ -231,32 +282,23 @@ pub fn run_plain_shared(
     sim: SimBackend,
 ) -> Vec<RankResult> {
     let exec = Executor::new(program, backend);
-    let world = simmpi::World::new(cluster);
-    let results: Vec<MachineResult> = match sim {
-        SimBackend::Threads => world.run(|proc| {
-            match simmpi::catch_death(|| {
-                exec.run_rank(proc, None).unwrap_or_else(|e| panic!("{e}"))
-            }) {
-                Ok(r) => r,
-                Err(death) => dead_rank_result(death, proc),
-            }
-        }),
-        SimBackend::Event { workers } => {
-            let compiled = event_compiled(&exec);
-            let program = exec.program.clone();
-            world.run_event_workers(
-                workers,
-                move |_rank, proc| VmTask::new(program.clone(), compiled.clone(), proc, None),
-                |death, task| dead_rank_result(death, task.proc_mut()),
-            )
-        }
-    };
-    results.into_iter().map(RankResult::from).collect()
+    run_ranks(&exec, cluster, Host::production(backend, sim), |_, _| None)
+}
+
+/// [`run_plain_shared`] on the thread-per-rank oracle host, for either
+/// executor.
+pub fn run_plain_oracle(
+    program: Arc<Program>,
+    cluster: Arc<Cluster>,
+    backend: ExecBackend,
+) -> Vec<RankResult> {
+    let exec = Executor::new(program, backend);
+    run_ranks(&exec, cluster, Host::Threads, |_, _| None)
 }
 
 /// The partial result of a rank that fail-stopped mid-run: accounting up
 /// to the death instant, no sense data past it.
-fn dead_rank_result(death: simmpi::DeathUnwind, proc: &simmpi::Proc) -> MachineResult {
+fn dead_rank_result(death: simmpi::DeathUnwind, proc: &Proc) -> MachineResult {
     MachineResult {
         end: death.at,
         stats: proc.stats(),
@@ -313,9 +355,31 @@ pub fn run_instrumented_shared(
     cluster: Arc<Cluster>,
     config: &RunConfig,
 ) -> InstrumentedRun {
+    let host = Host::production(config.backend, config.sim);
+    instrumented_on(host, program, sensors, cluster, config)
+}
+
+/// [`run_instrumented_shared`] on the thread-per-rank oracle host, for
+/// either executor.
+pub fn run_instrumented_oracle(
+    program: Arc<Program>,
+    sensors: Vec<SensorInfo>,
+    cluster: Arc<Cluster>,
+    config: &RunConfig,
+) -> InstrumentedRun {
+    instrumented_on(Host::Threads, program, sensors, cluster, config)
+}
+
+fn instrumented_on(
+    host: Host,
+    program: Arc<Program>,
+    sensors: Vec<SensorInfo>,
+    cluster: Arc<Cluster>,
+    config: &RunConfig,
+) -> InstrumentedRun {
     let ranks = cluster.ranks();
     let faults = cluster.faults().clone();
-    if let Some(at) = faults.server_crash() {
+    let sink: Arc<dyn AnalysisSink> = if let Some(at) = faults.server_crash() {
         // A plan with a server crash gets a durable (WAL-backed) server so
         // the crash can be recovered from.
         let (mut server, wal) =
@@ -324,22 +388,21 @@ pub fn run_instrumented_shared(
         if let Some((baseline, run_id)) = config.baseline.clone() {
             server.attach_baseline(baseline, run_id);
         }
-        let sink = Arc::new(CrashingChannel::new(Arc::new(server), wal, at, faults));
-        return run_instrumented_sink(program, sensors, cluster, config, sink);
-    }
-    let mut server = AnalysisServer::try_new(ranks, sensors.clone(), config.runtime.clone())
-        .unwrap_or_else(|e| panic!("invalid runtime configuration: {e}"));
-    if let Some((baseline, run_id)) = config.baseline.clone() {
-        server.attach_baseline(baseline, run_id);
-    }
-    let server = Arc::new(server);
-    if faults.is_active() {
-        let sink = Arc::new(FaultyChannel::new(server, faults));
-        run_instrumented_sink(program, sensors, cluster, config, sink)
+        Arc::new(CrashingChannel::new(Arc::new(server), wal, at, faults))
     } else {
-        let sink = Arc::new(DirectChannel::new(server));
-        run_instrumented_sink(program, sensors, cluster, config, sink)
-    }
+        let mut server = AnalysisServer::try_new(ranks, sensors.clone(), config.runtime.clone())
+            .unwrap_or_else(|e| panic!("invalid runtime configuration: {e}"));
+        if let Some((baseline, run_id)) = config.baseline.clone() {
+            server.attach_baseline(baseline, run_id);
+        }
+        let server = Arc::new(server);
+        if faults.is_active() {
+            Arc::new(FaultyChannel::new(server, faults))
+        } else {
+            Arc::new(DirectChannel::new(server))
+        }
+    };
+    sink_on(host, program, sensors, cluster, config, sink)
 }
 
 /// Run an instrumented program against an arbitrary [`AnalysisSink`] —
@@ -358,46 +421,30 @@ pub fn run_instrumented_sink(
     config: &RunConfig,
     sink: Arc<dyn AnalysisSink>,
 ) -> InstrumentedRun {
+    let host = Host::production(config.backend, config.sim);
+    sink_on(host, program, sensors, cluster, config, sink)
+}
+
+fn sink_on(
+    host: Host,
+    program: Arc<Program>,
+    sensors: Vec<SensorInfo>,
+    cluster: Arc<Cluster>,
+    config: &RunConfig,
+    sink: Arc<dyn AnalysisSink>,
+) -> InstrumentedRun {
     let exec = Executor::new(program, config.backend);
     let ranks = cluster.ranks();
     let channel: Arc<dyn BatchChannel> = sink.clone();
-    let world = simmpi::World::new(cluster);
     let sensor_count = sensors.len();
-    let machine_results: Vec<MachineResult> = match config.sim {
-        SimBackend::Threads => world.run(|proc| {
-            let runtime =
-                SensorRuntime::with_rule(sensor_count, config.runtime.clone(), config.rule.clone());
-            let harness = SensorHarness::with_channel(runtime, proc.rank(), channel.clone())
-                .with_trace_lane(proc.trace_lane());
-            match simmpi::catch_death(|| {
-                exec.run_rank(proc, Some(harness))
-                    .unwrap_or_else(|e| panic!("{e}"))
-            }) {
-                Ok(r) => r,
-                Err(death) => dead_rank_result(death, proc),
-            }
-        }),
-        SimBackend::Event { workers } => {
-            let compiled = event_compiled(&exec);
-            let program = exec.program.clone();
-            let channel = channel.clone();
-            world.run_event_workers(
-                workers,
-                move |rank, proc| {
-                    let runtime = SensorRuntime::with_rule(
-                        sensor_count,
-                        config.runtime.clone(),
-                        config.rule.clone(),
-                    );
-                    let harness = SensorHarness::with_channel(runtime, rank, channel.clone())
-                        .with_trace_lane(proc.trace_lane());
-                    VmTask::new(program.clone(), compiled.clone(), proc, Some(harness))
-                },
-                |death, task| dead_rank_result(death, task.proc_mut()),
-            )
-        }
-    };
-    let rank_results: Vec<RankResult> = machine_results.into_iter().map(RankResult::from).collect();
+    let rank_results = run_ranks(&exec, cluster, host, |rank, proc| {
+        let runtime =
+            SensorRuntime::with_rule(sensor_count, config.runtime.clone(), config.rule.clone());
+        Some(
+            SensorHarness::with_channel(runtime, rank, channel.clone())
+                .with_trace_lane(proc.trace_lane()),
+        )
+    });
     // Read the final state through the sink: if a crash fired, the
     // original server object died with its state and this resolves to the
     // recovered (or promoted) instance.

@@ -15,9 +15,7 @@
 
 use crate::builtins;
 use crate::bytecode::{self, CompiledProgram, Insn};
-use crate::machine::{
-    binop, coerce_scalar, cost, load_element, store_element, ExecError, Machine, MachineResult,
-};
+use crate::machine::{binop, coerce_scalar, cost, load_element, store_element, ExecError, Machine};
 use crate::values::Value;
 use vsensor_lang::ast::Type;
 use vsensor_lang::UnOp;
@@ -33,11 +31,11 @@ struct Frame {
 }
 
 /// The complete execution state of one rank's VM, owned outside the
-/// dispatch loop so event-scheduler tasks can suspend mid-program: when a
-/// blocking builtin returns `Pending`, the loop rewinds `pc` onto the
-/// `CallBuiltin` instruction, saves everything here and returns; the next
-/// [`resume_vm`] re-executes that instruction, which re-polls the pending
-/// operation latched in the rank's `Proc`.
+/// dispatch loop so rank tasks can suspend mid-program: when a blocking
+/// builtin returns `Pending`, the loop rewinds `pc` onto the `CallBuiltin`
+/// instruction, saves everything here and returns; the next [`resume_vm`]
+/// re-executes that instruction, which re-polls the pending operation
+/// latched in the rank's `Proc`.
 pub(crate) struct VmState {
     stack: Vec<Value>,
     locals: Vec<Value>,
@@ -67,59 +65,21 @@ impl VmState {
     }
 }
 
-/// Execute `main` of a compiled program on one rank. The `Machine` carries
-/// the rank's clock, cost accumulator and sensor harness; the walker's
-/// `Machine::run` and this function produce bit-identical results.
+/// Run or resume one rank's VM. `Ok(true)` means `main` returned (call
+/// `Machine::finalize` for the result); `Ok(false)` means a blocking
+/// builtin is `Pending` — the rank yielded, and the next call continues
+/// bit-identically to an uninterrupted run. The walker's `Machine::run`
+/// and a run of this to completion produce bit-identical results.
 ///
-/// The trace bracket lives in this thin wrapper and the dispatch loop in
-/// [`run_vm_loop`]: keeping the span's `(rank, start)` pair live across
-/// the loop itself (rather than across one outlined call) perturbs the
-/// loop's register allocation enough to cost double-digit percent even
-/// with tracing disabled.
-pub fn run_vm(mut m: Machine<'_>, compiled: &CompiledProgram) -> Result<MachineResult, ExecError> {
-    // Trace the whole VM run as one virtual-time span per rank. Reading
-    // the clock here charges nothing, so traced and untraced runs are
-    // bit-identical.
-    let traced = cluster_sim::trace::enabled(cluster_sim::trace::Category::VM)
-        .then(|| (m.trace_lane(), m.now()));
-    let mut st = VmState::new();
-    let finished = run_vm_loop(&mut m, compiled, &mut st)?;
-    debug_assert!(finished, "a thread-backed rank never suspends");
-    let result = m.finalize();
-    if let Some((lane, start)) = traced {
-        cluster_sim::trace::record(cluster_sim::trace::TraceEvent::complete(
-            cluster_sim::trace::Category::VM,
-            "vm_run",
-            lane,
-            0,
-            start.as_nanos(),
-            result.end.since(start).as_nanos(),
-            0,
-            0,
-        ));
-    }
-    Ok(result)
-}
-
-/// Run or resume one rank's VM under the event scheduler. `Ok(true)` means
-/// `main` returned (call `Machine::finalize` for the result); `Ok(false)`
-/// means a blocking builtin is `Pending` — the rank yielded, and the next
-/// call continues bit-identically to an uninterrupted run.
-pub(crate) fn resume_vm(
-    m: &mut Machine<'_>,
-    compiled: &CompiledProgram,
-    st: &mut VmState,
-) -> Result<bool, ExecError> {
-    run_vm_loop(m, compiled, st)
-}
-
-/// The dispatch loop proper. Outlined from [`run_vm`] so nothing
-/// trace-related is live across it. State lives in locals for dispatch
-/// speed and is written back to `st` only at a suspend or the final
-/// return.
+/// Outlined so nothing trace-related is live across the dispatch loop: the
+/// per-rank trace bracket lives in the caller, because keeping the span's
+/// `(rank, start)` pair live across the loop itself perturbs the loop's
+/// register allocation enough to cost double-digit percent even with
+/// tracing disabled. State lives in locals for dispatch speed and is
+/// written back to `st` only at a suspend or the final return.
 #[inline(never)]
-fn run_vm_loop(
-    m: &mut Machine<'_>,
+pub(crate) fn resume_vm(
+    m: &mut Machine,
     compiled: &CompiledProgram,
     st: &mut VmState,
 ) -> Result<bool, ExecError> {
@@ -465,7 +425,7 @@ fn load(v: &Value) -> Value {
 /// Pop-side of an array index: integer check then the memory charge, in
 /// walker order.
 #[inline]
-fn index_operand(m: &mut Machine<'_>, v: Value) -> Result<i64, ExecError> {
+fn index_operand(m: &mut Machine, v: Value) -> Result<i64, ExecError> {
     let i = v
         .as_int()
         .ok_or_else(|| ExecError::new("array index must be integer"))?;
@@ -475,7 +435,7 @@ fn index_operand(m: &mut Machine<'_>, v: Value) -> Result<i64, ExecError> {
 
 /// [`index_operand`] reading straight from a slot (fused `a[k]` forms).
 #[inline(always)]
-fn local_index(m: &mut Machine<'_>, v: &Value) -> Result<i64, ExecError> {
+fn local_index(m: &mut Machine, v: &Value) -> Result<i64, ExecError> {
     let i = match v {
         Value::Int(x) => *x,
         Value::Float(x) => *x as i64,
@@ -489,54 +449,37 @@ fn local_index(m: &mut Machine<'_>, v: &Value) -> Result<i64, ExecError> {
 mod tests {
     use super::*;
     use crate::bytecode;
-    use cluster_sim::ClusterConfig;
-    use simmpi::World;
+    use crate::machine::testing::run_quiet;
+    use crate::machine::MachineResult;
     use std::sync::Arc;
 
-    /// Run a source program through both backends on quiet ranks and
+    /// Rank results of a run of `src` on quiet ranks.
+    type Runs = Vec<Result<MachineResult, ExecError>>;
+
+    /// Run a source program on quiet ranks through both backends and
     /// return (walker, vm) results.
-    fn both(src: &str, ranks: usize) -> (Vec<MachineResult>, Vec<MachineResult>) {
+    fn both(src: &str, ranks: usize) -> (Runs, Runs) {
         let program = Arc::new(vsensor_lang::compile(src).unwrap());
-        let walker = {
-            let cluster = Arc::new(ClusterConfig::quiet(ranks).build());
-            let program = program.clone();
-            World::new(cluster).run(move |proc| {
-                Machine::new(program.clone(), proc, None)
-                    .run()
-                    .expect("walker runs")
-            })
-        };
         let compiled = Arc::new(bytecode::compile(&program));
-        let vm = {
-            let cluster = Arc::new(ClusterConfig::quiet(ranks).build());
-            World::new(cluster).run(move |proc| {
-                run_vm(Machine::new(program.clone(), proc, None), &compiled).expect("vm runs")
-            })
-        };
-        (walker, vm)
+        (
+            run_quiet(&program, ranks, None),
+            run_quiet(&program, ranks, Some(&compiled)),
+        )
     }
 
     fn assert_identical(src: &str, ranks: usize) {
         let (walker, vm) = both(src, ranks);
-        for (w, v) in walker.iter().zip(&vm) {
+        for (w, v) in walker.into_iter().zip(vm) {
+            let (w, v) = (w.expect("walker runs"), v.expect("vm runs"));
             assert_eq!(w.end, v.end, "virtual end time differs for {src}");
             assert_eq!(w.stats, v.stats, "proc stats differ for {src}");
         }
     }
 
     fn both_errors(src: &str) -> (ExecError, ExecError) {
-        let program = Arc::new(vsensor_lang::compile(src).unwrap());
-        let cluster = Arc::new(ClusterConfig::quiet(1).build());
-        let walker = {
-            let program = program.clone();
-            World::new(cluster.clone())
-                .run(move |proc| Machine::new(program.clone(), proc, None).run().unwrap_err())
-        };
-        let compiled = Arc::new(bytecode::compile(&program));
-        let vm = World::new(Arc::new(ClusterConfig::quiet(1).build())).run(move |proc| {
-            run_vm(Machine::new(program.clone(), proc, None), &compiled).unwrap_err()
-        });
-        (walker[0].clone(), vm[0].clone())
+        let (walker, vm) = both(src, 1);
+        let err = |rs: &Runs| rs[0].clone().expect_err("program fails");
+        (err(&walker), err(&vm))
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! unknown-function calls when an assertion fails).
 
 use cluster_sim::ClusterConfig;
+use simmpi::{Proc, RankTask, TaskPoll, World};
 use std::sync::Arc;
-use vsensor_interp::run_plain;
+use vsensor_interp::machine::MachineResult;
+use vsensor_interp::{run_plain, ExecError, Machine};
 use vsensor_lang::compile;
 
 fn run_ok(src: &str) {
@@ -14,16 +16,25 @@ fn run_ok(src: &str) {
     run_plain(&program, cluster); // panics inside on error
 }
 
+/// The error message a one-rank tree-walker run of `src` stops with.
 fn run_err(src: &str) -> String {
+    struct Walk(Machine);
+    impl RankTask for Walk {
+        type Output = Result<MachineResult, ExecError>;
+        fn resume(&mut self) -> TaskPoll<Self::Output> {
+            TaskPoll::Ready(self.0.run())
+        }
+        fn proc_mut(&mut self) -> &mut Proc {
+            self.0.proc()
+        }
+    }
     let program = Arc::new(compile(src).unwrap());
     let cluster = Arc::new(ClusterConfig::quiet(1).build());
-    let world = simmpi::World::new(cluster);
-    let errs = world.run(|proc| {
-        vsensor_interp::Machine::new(program.clone(), proc, None)
-            .run()
-            .unwrap_err()
-    });
-    errs[0].message.clone()
+    let errs = World::new(cluster).run_threaded(
+        |_, proc| Walk(Machine::new(program.clone(), proc, None)),
+        |death, _| panic!("no deaths planned: {death:?}"),
+    );
+    errs[0].clone().unwrap_err().message
 }
 
 #[test]

@@ -824,6 +824,7 @@ impl Engine {
             });
         }
         let rank = batch.rank;
+        let sent_at = batch.sent_at;
         self.note_arrival(rank, arrival);
         // Gossip rides outside the CRC; process it for duplicates too —
         // `note_death` is idempotent, which is what makes repeating the
@@ -901,7 +902,7 @@ impl Engine {
                 absorbed,
             ));
         }
-        self.maybe_detect(arrival);
+        self.maybe_detect(arrival, sent_at);
         Ok(IngestReceipt {
             rank,
             seq: batch.seq,
@@ -972,10 +973,15 @@ impl Engine {
         }
     }
 
-    /// Sweep for ranks that went silent: a rank that has ever sent but has
-    /// not been heard from for `liveness_intervals` detection intervals is
-    /// presumed fail-stopped at its last-heard-from instant.
-    fn liveness_scan(&self, now: VirtualTime) {
+    /// Sweep for ranks that went silent: a rank that has ever sent but was
+    /// last heard from `liveness_intervals` detection intervals or more
+    /// before `sent_at` — the send instant of the batch that triggered this
+    /// pass — is presumed fail-stopped at its last-heard-from instant.
+    ///
+    /// Silence is measured on the senders' clock, not the arrival clock: a
+    /// retried batch arrives long after it was sent, and the ranks that
+    /// finished normally meanwhile were not silent when it was sent.
+    fn liveness_scan(&self, sent_at: VirtualTime, now: VirtualTime) {
         let horizon = self
             .config
             .detect_interval
@@ -987,7 +993,7 @@ impl Engine {
                 continue; // never heard from: indistinguishable from a slow start
             }
             let last = enc - 1;
-            if last.saturating_add(horizon) <= now.as_nanos() {
+            if last.saturating_add(horizon) <= sent_at.as_nanos() {
                 self.note_death(rank, VirtualTime(last), DeathCause::Liveness, now);
             }
         }
@@ -1005,7 +1011,9 @@ impl Engine {
 
     /// Run a detection pass if this arrival crossed the schedule. The CAS
     /// makes exactly one ingesting thread the winner per crossing.
-    fn maybe_detect(&self, now: VirtualTime) {
+    /// `sent_at` is the triggering batch's send instant (the liveness
+    /// sweep's clock).
+    fn maybe_detect(&self, now: VirtualTime, sent_at: VirtualTime) {
         if self.ranks == 0 {
             return;
         }
@@ -1023,7 +1031,7 @@ impl Engine {
                 break;
             }
         }
-        self.run_detect_pass(now);
+        self.run_detect_pass(now, sent_at);
     }
 
     /// One incremental detection pass: fold provisional matrices against
@@ -1031,8 +1039,8 @@ impl Engine {
     /// against everything already alerted, and queue the genuinely new
     /// ones. Holding the stream lock serializes passes that race across
     /// consecutive schedule crossings.
-    fn run_detect_pass(&self, now: VirtualTime) {
-        self.liveness_scan(now);
+    fn run_detect_pass(&self, now: VirtualTime, sent_at: VirtualTime) {
+        self.liveness_scan(sent_at, now);
         let mut stream = self.stream.lock();
         let bins = (self.config.matrix_bin(now).saturating_add(1)) as usize;
         let guards: Vec<_> = self.shards.iter().map(|s| s.inner.lock()).collect();
@@ -1991,6 +1999,32 @@ mod tests {
         // retracted.
         send(1, 1000);
         assert!(e.failed_ranks().is_empty(), "liveness deaths resurrect");
+    }
+
+    #[test]
+    fn late_retry_measures_silence_on_the_send_clock() {
+        let e = engine(2, 1);
+        // Both ranks stream until 100 ms, then finish.
+        for ms in 0..=100 {
+            let t = VirtualTime::from_millis(ms);
+            for rank in 0..2 {
+                e.ingest(batch_at(rank, ms, t, 10), t).unwrap();
+            }
+        }
+        // A retry of rank 1's batch sent at 100 ms lands long past the
+        // 600 ms liveness horizon and triggers a pass: rank 0 had not gone
+        // silent when that batch was sent.
+        let late = VirtualTime::from_millis(1_000);
+        let retry = batch_at(1, 101, VirtualTime::from_millis(100), 10);
+        e.ingest(retry, late).unwrap();
+        assert!(e.failed_ranks().is_empty(), "{:?}", e.failed_ranks());
+        // A batch *sent* that late does show rank 0's silence.
+        let fresh = VirtualTime::from_millis(1_300);
+        e.ingest(batch_at(1, 102, fresh, 10), fresh).unwrap();
+        let dead = e.failed_ranks();
+        assert_eq!(dead.len(), 1, "{dead:?}");
+        assert_eq!((dead[0].rank, dead[0].cause), (0, DeathCause::Liveness));
+        assert_eq!(dead[0].at, VirtualTime::from_millis(100));
     }
 
     #[test]

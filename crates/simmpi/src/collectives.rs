@@ -1,10 +1,12 @@
 //! Collective operations.
 //!
 //! A single generation-counted rendezvous synchronizes all ranks of the
-//! world communicator. Each rank enters with its virtual clock (and an
-//! optional scalar contribution); the last arriver computes the common exit
-//! time `max(entries) + cost(op, procs, bytes)` and the reduced value, then
-//! bumps the generation to release everyone. MPI requires all ranks to call
+//! world communicator. Each rank registers with its virtual clock (and an
+//! optional scalar contribution); once every alive member has registered,
+//! the host's completion check ([`CollectiveSlot::try_complete`]) computes
+//! the common exit time `max(entries) + cost(op, procs, bytes)` and the
+//! reduced value, then bumps the generation so each member's
+//! [`CollectiveSlot::poll_finish`] sees the result. MPI requires all ranks to call
 //! collectives in the same order, which is what makes one slot per
 //! communicator sufficient; the slot checks that the op/byte arguments of
 //! all ranks agree and reports disagreement as a typed
@@ -23,7 +25,7 @@
 use cluster_sim::network::CollectiveOp;
 use cluster_sim::time::VirtualTime;
 use cluster_sim::Cluster;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::fmt;
 
 use crate::death::DeathBoard;
@@ -130,7 +132,6 @@ impl std::error::Error for CollectiveError {}
 #[derive(Debug)]
 pub struct CollectiveSlot {
     state: Mutex<SlotState>,
-    cond: Condvar,
     procs: usize,
     /// World ranks belonging to this communicator (used to count alive
     /// members against the death board).
@@ -207,17 +208,9 @@ impl CollectiveSlot {
                 done_missing: 0,
                 poisoned: None,
             }),
-            cond: Condvar::new(),
             procs: members.len(),
             members,
         }
-    }
-
-    /// Wake every waiter so it can re-examine its wait condition (a rank
-    /// died — the membership just shrank).
-    pub fn wake_all(&self) {
-        let _guard = self.state.lock();
-        self.cond.notify_all();
     }
 
     /// Current alive-member count, folding any deaths logged since the
@@ -237,67 +230,49 @@ impl CollectiveSlot {
         alive.max(1)
     }
 
-    /// Enter the collective; blocks (in real time) until every *alive*
-    /// member has entered, then returns the common result. Dead members
-    /// shrink the rendezvous: the result reports them as `missing` and the
-    /// exit time includes the fault plan's death-detection timeout.
+    /// Register for the collective without blocking. The rendezvous is
+    /// *never* completed inline — even the last arriver yields back to the
+    /// host, which completes touched slots via [`Self::try_complete`]
+    /// (the event scheduler once the whole dispatch phase has committed).
+    /// Inline completion would release waiters before same-instant peers
+    /// have registered their waits, stranding them. Returns the generation
+    /// joined; poll [`Self::poll_finish`] with it.
     ///
     /// # Errors
     ///
     /// [`CollectiveError::Mismatch`] if ranks disagree on the operation or
-    /// byte count (the slot poisons, so every member gets the error), and
-    /// [`CollectiveError::Deadlock`] when the real-time timeout expires
-    /// with live members missing.
-    pub fn enter(
-        &self,
-        cluster: &Cluster,
-        board: &DeathBoard,
-        entry: CollectiveEntry,
-    ) -> Result<CollectiveResult, CollectiveError> {
-        let mut st = self.state.lock();
-        let my_gen = self.register_locked(&mut st, entry)?;
-
-        loop {
-            // Ranks blocked inside a collective cannot die (deaths fire
-            // from a rank's own code), so every arrival this generation is
-            // from a live member: arrived == alive ⇒ all alive members are
-            // in, and the rendezvous — possibly shrunk — completes.
-            let required = self.alive_now(&mut st, board);
-            if st.arrived >= required {
-                return Ok(self.complete_locked(&mut st, cluster));
-            }
-            let timed_out = self.cond.wait_for(&mut st, DEADLOCK_TIMEOUT).timed_out();
-            if let Some(e) = &st.poisoned {
-                return Err(e.clone());
-            }
-            if st.generation != my_gen {
-                return Ok(st.done_result());
-            }
-            if timed_out {
-                return Err(CollectiveError::Deadlock {
-                    op: entry.op,
-                    arrived: st.arrived,
-                    procs: self.procs,
-                });
-            }
-        }
-    }
-
-    /// Register for the collective without blocking (event scheduler).
-    /// Identical registration math to [`Self::enter`], but the rendezvous
-    /// is *never* completed inline — even the last arriver yields back to
-    /// the control plane, which completes touched slots via
-    /// [`Self::try_complete`] once the whole dispatch phase has committed.
-    /// (Inline completion would release waiters before same-instant peers
-    /// have registered their waits, stranding them.) Returns the
-    /// generation joined; poll [`Self::poll_finish`] with it.
-    ///
-    /// # Errors
-    ///
-    /// [`CollectiveError::Mismatch`], exactly as [`Self::enter`].
+    /// byte count. The slot poisons, so every current and future member
+    /// gets the same error.
     pub fn poll_register(&self, entry: CollectiveEntry) -> Result<u64, CollectiveError> {
         let mut st = self.state.lock();
-        self.register_locked(&mut st, entry)
+        if let Some(e) = &st.poisoned {
+            return Err(e.clone());
+        }
+        let my_gen = st.generation;
+        if st.arrived == 0 {
+            st.op = Some(entry.op);
+            st.bytes = entry.bytes;
+            st.rop = entry.rop;
+            st.acc = entry.rop.identity();
+            st.max_entry = VirtualTime::ZERO;
+        } else if st.op != Some(entry.op) || st.bytes != entry.bytes {
+            let err = CollectiveError::Mismatch {
+                expected_op: st.op.expect("first arriver set the op"),
+                got_op: entry.op,
+                expected_bytes: st.bytes,
+                got_bytes: entry.bytes,
+            };
+            st.poisoned = Some(err.clone());
+            return Err(err);
+        }
+        st.arrived += 1;
+        st.max_entry = st.max_entry.max(entry.at);
+        let rop = st.rop;
+        st.acc = rop.fold(st.acc, entry.value);
+        if entry.is_root {
+            st.bcast_val = entry.value;
+        }
+        Ok(my_gen)
     }
 
     /// Check whether the generation joined via [`Self::poll_register`] has
@@ -315,12 +290,19 @@ impl CollectiveSlot {
         Ok((st.generation != gen).then(|| st.done_result()))
     }
 
-    /// Control-plane completion check (event scheduler): if the open
-    /// generation now has every *alive* member registered, complete it and
-    /// return the result so waiters can be scheduled at its exit time.
-    /// Called at the end of each dispatch phase for every slot touched by
-    /// a registration, and for every open slot after a death. The check is
+    /// Completion check: if the open generation now has every *alive*
+    /// member registered, complete it and return the result so waiters can
+    /// be released at its exit time. Dead members shrink the rendezvous:
+    /// the result reports them as `missing` and the exit time includes the
+    /// fault plan's death-detection timeout. The event scheduler's control
+    /// plane calls this at the end of each dispatch phase for every slot
+    /// touched by a registration, and for every open slot after a death;
+    /// a parked oracle rank calls it for the slot it waits on. The check is
     /// O(1) amortized: a counter compare, plus a death-log delta fold.
+    ///
+    /// Ranks waiting in a collective cannot die (deaths fire from a rank's
+    /// own code), so every arrival this generation is from a live member:
+    /// `arrived == alive` means all alive members are in.
     pub fn try_complete(&self, cluster: &Cluster, board: &DeathBoard) -> Option<CollectiveResult> {
         let mut st = self.state.lock();
         if st.poisoned.is_some() || st.arrived == 0 {
@@ -329,50 +311,6 @@ impl CollectiveSlot {
         if st.arrived < self.alive_now(&mut st, board) {
             return None;
         }
-        Some(self.complete_locked(&mut st, cluster))
-    }
-
-    /// Registration phase shared by the blocking and poll entry points, so
-    /// both backends run bit-identical math. Returns the generation joined.
-    fn register_locked(
-        &self,
-        st: &mut SlotState,
-        entry: CollectiveEntry,
-    ) -> Result<u64, CollectiveError> {
-        if let Some(e) = &st.poisoned {
-            return Err(e.clone());
-        }
-        let my_gen = st.generation;
-
-        if st.arrived == 0 {
-            st.op = Some(entry.op);
-            st.bytes = entry.bytes;
-            st.rop = entry.rop;
-            st.acc = entry.rop.identity();
-            st.max_entry = VirtualTime::ZERO;
-        } else if st.op != Some(entry.op) || st.bytes != entry.bytes {
-            let err = CollectiveError::Mismatch {
-                expected_op: st.op.expect("first arriver set the op"),
-                got_op: entry.op,
-                expected_bytes: st.bytes,
-                got_bytes: entry.bytes,
-            };
-            st.poisoned = Some(err.clone());
-            self.cond.notify_all();
-            return Err(err);
-        }
-        st.arrived += 1;
-        st.max_entry = st.max_entry.max(entry.at);
-        let rop = st.rop;
-        st.acc = rop.fold(st.acc, entry.value);
-        if entry.is_root {
-            st.bcast_val = entry.value;
-        }
-        Ok(my_gen)
-    }
-
-    /// Completion phase shared by the blocking and poll entry points.
-    fn complete_locked(&self, st: &mut SlotState, cluster: &Cluster) -> CollectiveResult {
         let op = st.op.expect("op set while generation open");
         let missing = (self.procs - st.arrived) as u32;
         let mut cost = cluster.collective_cost(op, st.arrived, st.bytes, st.max_entry);
@@ -387,8 +325,17 @@ impl CollectiveSlot {
         st.done_missing = missing;
         st.arrived = 0;
         st.generation += 1;
-        self.cond.notify_all();
-        st.done_result()
+        Some(st.done_result())
+    }
+
+    /// The typed error for a member that waited out the real-time deadlock
+    /// window on `op` with live members missing.
+    pub fn deadlock(&self, op: CollectiveOp) -> CollectiveError {
+        CollectiveError::Deadlock {
+            op,
+            arrived: self.state.lock().arrived,
+            procs: self.procs,
+        }
     }
 }
 
@@ -406,7 +353,6 @@ impl SlotState {
 mod tests {
     use super::*;
     use cluster_sim::ClusterConfig;
-    use std::sync::Arc;
 
     fn entry(op: CollectiveOp, at_ns: u64, value: i64) -> CollectiveEntry {
         CollectiveEntry {
@@ -419,27 +365,33 @@ mod tests {
         }
     }
 
-    /// Run one entry per thread; each rank's `Result` is propagated (not
-    /// unwrapped inside the rank), so one rank's error never aborts the
-    /// whole world.
+    /// One generation on the poll path, the way a host drives it: every
+    /// member registers, the host runs the completion check, and each
+    /// member polls its generation. Each rank's `Result` is kept (not
+    /// unwrapped), so one rank's error never hides the others'.
+    fn poll_generation(
+        slot: &CollectiveSlot,
+        cluster: &Cluster,
+        board: &DeathBoard,
+        entries: Vec<CollectiveEntry>,
+    ) -> Vec<Result<CollectiveResult, CollectiveError>> {
+        let gens: Vec<_> = entries.into_iter().map(|e| slot.poll_register(e)).collect();
+        let _ = slot.try_complete(cluster, board);
+        gens.into_iter()
+            .map(|g| {
+                g.and_then(|gen| slot.poll_finish(gen))
+                    .map(|done| done.expect("every alive member registered"))
+            })
+            .collect()
+    }
+
     fn try_run_collective(
         procs: usize,
         entries: Vec<CollectiveEntry>,
         board: &DeathBoard,
     ) -> Vec<Result<CollectiveResult, CollectiveError>> {
-        let cluster = Arc::new(ClusterConfig::quiet(procs).build());
-        let slot = Arc::new(CollectiveSlot::new(procs));
-        std::thread::scope(|s| {
-            let handles: Vec<_> = entries
-                .into_iter()
-                .map(|e| {
-                    let slot = slot.clone();
-                    let cluster = cluster.clone();
-                    s.spawn(move || slot.enter(&cluster, board, e))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
+        let cluster = ClusterConfig::quiet(procs).build();
+        poll_generation(&CollectiveSlot::new(procs), &cluster, board, entries)
     }
 
     fn run_collective(procs: usize, entries: Vec<CollectiveEntry>) -> Vec<CollectiveResult> {
@@ -507,37 +459,45 @@ mod tests {
     #[test]
     fn slot_is_reusable_across_generations() {
         let procs = 3;
-        let cluster = Arc::new(ClusterConfig::quiet(procs).build());
-        let slot = Arc::new(CollectiveSlot::new(procs));
-        let results: Vec<Vec<i64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..procs)
-                .map(|r| {
-                    let slot = slot.clone();
-                    let cluster = cluster.clone();
-                    s.spawn(move || {
-                        let board = DeathBoard::new(procs);
-                        (0..10)
-                            .map(|round| {
-                                slot.enter(
-                                    &cluster,
-                                    &board,
-                                    entry(CollectiveOp::Allreduce, 0, (r + round) as i64),
-                                )
-                                .expect("collective completed")
-                                .value
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        let cluster = ClusterConfig::quiet(procs).build();
+        let board = DeathBoard::new(procs);
+        let slot = CollectiveSlot::new(procs);
         for round in 0..10 {
+            let rs = poll_generation(
+                &slot,
+                &cluster,
+                &board,
+                (0..procs)
+                    .map(|r| entry(CollectiveOp::Allreduce, 0, (r + round) as i64))
+                    .collect(),
+            );
             let expect: i64 = (0..procs as i64).map(|r| r + round as i64).sum();
-            for r in &results {
-                assert_eq!(r[round], expect);
+            for r in rs {
+                assert_eq!(r.expect("collective completed").value, expect);
             }
         }
+    }
+
+    #[test]
+    fn completion_waits_for_every_alive_member() {
+        let cluster = ClusterConfig::quiet(3).build();
+        let board = DeathBoard::new(3);
+        let slot = CollectiveSlot::new(3);
+        let gen = slot
+            .poll_register(entry(CollectiveOp::Barrier, 0, 0))
+            .unwrap();
+        slot.poll_register(entry(CollectiveOp::Barrier, 0, 0))
+            .unwrap();
+        assert_eq!(slot.try_complete(&cluster, &board), None);
+        assert_eq!(slot.poll_finish(gen), Ok(None), "still pending");
+        assert!(matches!(
+            slot.deadlock(CollectiveOp::Barrier),
+            CollectiveError::Deadlock {
+                arrived: 2,
+                procs: 3,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -569,30 +529,26 @@ mod tests {
 
     #[test]
     fn death_mid_wait_releases_blocked_members() {
-        // Ranks 0 and 1 enter; rank 2 dies *after* they are already
-        // blocked. wake_all must rouse them to re-check membership.
+        // Ranks 0 and 1 register; rank 2 dies *after* they are already
+        // waiting. The next completion check must fold the death in.
         let procs = 3;
-        let cluster = Arc::new(ClusterConfig::quiet(procs).build());
-        let slot = Arc::new(CollectiveSlot::new(procs));
-        let board = Arc::new(DeathBoard::new(procs));
-        let rs: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|i| {
-                    let slot = slot.clone();
-                    let cluster = cluster.clone();
-                    let board = board.clone();
-                    s.spawn(move || {
-                        slot.enter(&cluster, &board, entry(CollectiveOp::Barrier, 500, i))
-                    })
-                })
-                .collect();
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            board.mark_dead(2);
-            slot.wake_all();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for r in rs {
-            assert_eq!(r.expect("released by death").missing, 1);
+        let cluster = ClusterConfig::quiet(procs).build();
+        let board = DeathBoard::new(procs);
+        let slot = CollectiveSlot::new(procs);
+        let gens: Vec<u64> = (0..2)
+            .map(|i| {
+                slot.poll_register(entry(CollectiveOp::Barrier, 500, i))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(slot.try_complete(&cluster, &board), None);
+        board.mark_dead(2);
+        let done = slot
+            .try_complete(&cluster, &board)
+            .expect("released by death");
+        assert_eq!(done.missing, 1);
+        for gen in gens {
+            assert_eq!(slot.poll_finish(gen), Ok(Some(done)));
         }
     }
 
@@ -620,19 +576,20 @@ mod tests {
         let cluster = ClusterConfig::quiet(2).build();
         let board = DeathBoard::new(2);
         let slot = CollectiveSlot::new(2);
-        let poison: Vec<_> = std::thread::scope(|s| {
-            [
-                s.spawn(|| slot.enter(&cluster, &board, entry(CollectiveOp::Barrier, 0, 0))),
-                s.spawn(|| slot.enter(&cluster, &board, entry(CollectiveOp::Bcast, 0, 0))),
-            ]
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect()
-        });
+        let poison = poll_generation(
+            &slot,
+            &cluster,
+            &board,
+            vec![
+                entry(CollectiveOp::Barrier, 0, 0),
+                entry(CollectiveOp::Bcast, 0, 0),
+            ],
+        );
         assert!(poison.iter().all(Result::is_err));
         // A later generation never starts: the poison is sticky.
-        let late = slot.enter(&cluster, &board, entry(CollectiveOp::Barrier, 0, 0));
+        let late = slot.poll_register(entry(CollectiveOp::Barrier, 0, 0));
         assert!(matches!(late, Err(CollectiveError::Mismatch { .. })));
+        assert_eq!(slot.try_complete(&cluster, &board), None);
     }
 
     #[test]

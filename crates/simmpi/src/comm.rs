@@ -11,11 +11,9 @@
 use crate::collectives::CollectiveSlot;
 use cluster_sim::network::CollectiveOp;
 use cluster_sim::time::VirtualTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-use crate::p2p::DEADLOCK_TIMEOUT;
 
 /// A communicator: a subset of world ranks with local indices.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,7 +57,6 @@ impl Comm {
 /// communicators it creates.
 pub(crate) struct CommRegistry {
     split: Mutex<SplitInner>,
-    cond: Condvar,
     procs: usize,
     slots: Mutex<HashMap<u64, Arc<CollectiveSlot>>>,
 }
@@ -78,7 +75,7 @@ struct SplitInner {
 
 impl SplitInner {
     /// Reconstruct `rank`'s communicator from the published colors of the
-    /// completed generation. Shared by the blocking and poll paths.
+    /// completed generation.
     fn done_comm(&self, rank: usize, procs: usize) -> (Comm, VirtualTime) {
         let my_color = self.done_colors[rank];
         let members: Vec<usize> = (0..procs)
@@ -120,77 +117,18 @@ impl CommRegistry {
                 // ID 0 is reserved for the world communicator.
                 next_comm_id: 1,
             }),
-            cond: Condvar::new(),
             procs,
             slots: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Enter the split collective. Returns `(comm, exit_time)`.
-    pub(crate) fn split(
-        &self,
-        cluster: &cluster_sim::Cluster,
-        rank: usize,
-        color: i64,
-        at: VirtualTime,
-    ) -> (Comm, VirtualTime) {
-        let mut st = self.split.lock();
-        let my_gen = self.register_split_locked(&mut st, rank, color, at);
-        if st.arrived == self.procs {
-            self.complete_split_locked(&mut st, cluster);
-        } else {
-            while st.generation == my_gen {
-                if self.cond.wait_for(&mut st, DEADLOCK_TIMEOUT).timed_out() {
-                    panic!(
-                        "simmpi deadlock: comm split waited {:?} with {}/{} ranks",
-                        DEADLOCK_TIMEOUT, st.arrived, self.procs
-                    );
-                }
-            }
-        }
-        let result = st.done_comm(rank, self.procs);
-        drop(st);
-        result
-    }
-
-    /// Register for the split without blocking (event scheduler). Identical
-    /// registration math to [`Self::split`], but never completes inline —
-    /// every member (including the last arriver) yields to the control
-    /// plane, which completes the rendezvous via [`Self::try_complete_split`]
-    /// once the dispatch phase has committed. Returns the generation
-    /// joined; poll [`Self::poll_split_finish`] with it.
+    /// Register for the split without blocking. Never completes inline —
+    /// every member (including the last arriver) yields to the host, which
+    /// completes the rendezvous via [`Self::try_complete_split`] (the event
+    /// scheduler once the dispatch phase has committed). Returns the
+    /// generation joined; poll [`Self::poll_split_finish`] with it.
     pub(crate) fn poll_split_register(&self, rank: usize, color: i64, at: VirtualTime) -> u64 {
         let mut st = self.split.lock();
-        self.register_split_locked(&mut st, rank, color, at)
-    }
-
-    /// Control-plane completion check for the split rendezvous (event
-    /// scheduler): completes when every rank has registered, returning the
-    /// common exit instant so waiters can be scheduled. Split is documented
-    /// as pre-death-only, so the requirement is the full world.
-    pub(crate) fn try_complete_split(&self, cluster: &cluster_sim::Cluster) -> Option<VirtualTime> {
-        let mut st = self.split.lock();
-        if st.arrived == 0 || st.arrived < self.procs {
-            return None;
-        }
-        self.complete_split_locked(&mut st, cluster);
-        Some(st.done_exit)
-    }
-
-    /// Check whether the split generation joined via
-    /// [`Self::poll_split_register`] has completed. `None` = still pending.
-    pub(crate) fn poll_split_finish(&self, rank: usize, gen: u64) -> Option<(Comm, VirtualTime)> {
-        let st = self.split.lock();
-        (st.generation != gen).then(|| st.done_comm(rank, self.procs))
-    }
-
-    fn register_split_locked(
-        &self,
-        st: &mut SplitInner,
-        rank: usize,
-        color: i64,
-        at: VirtualTime,
-    ) -> u64 {
         let my_gen = st.generation;
         if st.arrived == 0 {
             st.max_entry = VirtualTime::ZERO;
@@ -201,7 +139,15 @@ impl CommRegistry {
         my_gen
     }
 
-    fn complete_split_locked(&self, st: &mut SplitInner, cluster: &cluster_sim::Cluster) {
+    /// Completion check for the split rendezvous: completes when every
+    /// rank has registered, returning the common exit instant so waiters
+    /// can be released. Split is documented as pre-death-only, so the
+    /// requirement is the full world.
+    pub(crate) fn try_complete_split(&self, cluster: &cluster_sim::Cluster) -> Option<VirtualTime> {
+        let mut st = self.split.lock();
+        if st.arrived == 0 || st.arrived < self.procs {
+            return None;
+        }
         let cost = cluster.collective_cost(CollectiveOp::Barrier, self.procs, 0, st.max_entry);
         st.done_exit = st.max_entry + cost;
         st.done_colors = st.colors.clone();
@@ -213,7 +159,20 @@ impl CommRegistry {
         st.next_comm_id += distinct.len() as u64;
         st.arrived = 0;
         st.generation += 1;
-        self.cond.notify_all();
+        Some(st.done_exit)
+    }
+
+    /// How many ranks had registered for the open split generation — for
+    /// the oracle host's deadlock diagnosis.
+    pub(crate) fn split_arrived(&self) -> usize {
+        self.split.lock().arrived
+    }
+
+    /// Check whether the split generation joined via
+    /// [`Self::poll_split_register`] has completed. `None` = still pending.
+    pub(crate) fn poll_split_finish(&self, rank: usize, gen: u64) -> Option<(Comm, VirtualTime)> {
+        let st = self.split.lock();
+        (st.generation != gen).then(|| st.done_comm(rank, self.procs))
     }
 
     /// The collective slot for a communicator (created on first use). The
@@ -227,22 +186,10 @@ impl CommRegistry {
             .clone()
     }
 
-    /// Look up a communicator's slot by ID without creating it. The event
-    /// scheduler uses this when a death may complete a shrunk collective.
+    /// Look up a communicator's slot by ID without creating it (completion
+    /// checks route by ID).
     pub(crate) fn slot_by_id(&self, id: u64) -> Option<Arc<CollectiveSlot>> {
         self.slots.lock().get(&id).cloned()
-    }
-
-    /// Wake every communicator's collective waiters (a rank died).
-    pub(crate) fn wake_all(&self) {
-        let slots = self.slots.lock();
-        for slot in slots.values() {
-            slot.wake_all();
-        }
-        // Split rendezvous waiters re-check nothing death-related (split is
-        // documented as pre-death-only), but waking them is harmless.
-        let _guard = self.split.lock();
-        self.cond.notify_all();
     }
 }
 
@@ -260,7 +207,7 @@ mod tests {
     fn split_forms_expected_groups() {
         let w = quiet_world(6);
         let infos = w.run(|p| {
-            let comm = p.split((p.rank() % 2) as i64).ready();
+            let comm = p.block_on(|p| p.split((p.rank() % 2) as i64));
             (comm.size(), comm.rank(), comm.members().to_vec())
         });
         // Even ranks form {0,2,4}, odd {1,3,5}.
@@ -274,9 +221,8 @@ mod tests {
     fn subcomm_allreduce_sums_only_members() {
         let w = quiet_world(6);
         let sums = w.run(|p| {
-            let comm = p.split((p.rank() % 2) as i64).ready();
-            p.comm_allreduce(&comm, 8, p.rank() as i64, ReduceOp::Sum)
-                .ready()
+            let comm = p.block_on(|p| p.split((p.rank() % 2) as i64));
+            p.block_on(|p| p.comm_allreduce(&comm, 8, p.rank() as i64, ReduceOp::Sum))
         });
         assert_eq!(sums, vec![6, 9, 6, 9, 6, 9]); // 0+2+4 and 1+3+5
     }
@@ -285,12 +231,12 @@ mod tests {
     fn subcomm_barrier_synchronizes_members_only() {
         let w = quiet_world(4);
         let ends = w.run(|p| {
-            let comm = p.split((p.rank() / 2) as i64).ready();
+            let comm = p.block_on(|p| p.split((p.rank() / 2) as i64));
             // One member of each group computes longer.
             if p.rank() % 2 == 0 {
                 p.compute(cluster_sim::node::Work::cpu(100_000), 0.0);
             }
-            p.comm_barrier(&comm).ready();
+            p.block_on(|p| p.comm_barrier(&comm));
             p.now()
         });
         assert_eq!(ends[0], ends[1], "group {{0,1}} aligned");
@@ -301,9 +247,9 @@ mod tests {
     fn repeated_splits_get_distinct_ids() {
         let w = quiet_world(4);
         let ids = w.run(|p| {
-            let a = p.split(0).ready(); // everyone together
-            let b = p.split((p.rank() % 2) as i64).ready();
-            let c = p.split(0).ready();
+            let a = p.block_on(|p| p.split(0)); // everyone together
+            let b = p.block_on(|p| p.split((p.rank() % 2) as i64));
+            let c = p.block_on(|p| p.split(0));
             (a.id(), b.id(), c.id())
         });
         // All ranks agree on each split's IDs, and IDs never repeat.
@@ -318,13 +264,13 @@ mod tests {
         // An alltoall over half the ranks must cost less than over all.
         let w = quiet_world(8);
         let t_sub = w.run(|p| {
-            let comm = p.split((p.rank() % 2) as i64).ready();
-            p.comm_alltoall(&comm, 1 << 16).ready();
+            let comm = p.block_on(|p| p.split((p.rank() % 2) as i64));
+            p.block_on(|p| p.comm_alltoall(&comm, 1 << 16));
             p.now()
         });
         let w2 = quiet_world(8);
         let t_world = w2.run(|p| {
-            p.alltoall(1 << 16).ready();
+            p.block_on(|p| p.alltoall(1 << 16));
             p.now()
         });
         assert!(t_sub[0] < t_world[0], "{} vs {}", t_sub[0], t_world[0]);
@@ -336,12 +282,12 @@ mod tests {
         // within columns.
         let w = quiet_world(4); // 2x2 grid
         let ends = w.run(|p| {
-            let row = p.split((p.rank() / 2) as i64).ready();
-            let col = p.split((p.rank() % 2) as i64).ready();
+            let row = p.block_on(|p| p.split((p.rank() / 2) as i64));
+            let col = p.block_on(|p| p.split((p.rank() % 2) as i64));
             for _ in 0..10 {
-                p.comm_alltoall(&row, 4096).ready();
+                p.block_on(|p| p.comm_alltoall(&row, 4096));
                 p.compute(cluster_sim::node::Work::cpu(5_000), 0.0);
-                p.comm_alltoall(&col, 4096).ready();
+                p.block_on(|p| p.comm_alltoall(&col, 4096));
             }
             p.now()
         });

@@ -8,11 +8,13 @@
 //! the unwind into a normal "this rank died" outcome.
 //!
 //! Survivors must never hang on a dead peer. The [`DeathBoard`] is the
-//! world's shared failure detector: a dying rank marks itself dead (after
-//! all its pre-death sends and collective arrivals have been published,
-//! so observing the flag implies no further traffic is coming) and wakes
-//! every blocked receiver and collective waiter, which then re-examine
-//! their wait conditions.
+//! world's shared failure detector: a dying rank marks itself dead after
+//! all its pre-death sends and collective arrivals have been published, so
+//! observing the flag implies no further traffic is coming. Whoever hosts
+//! the ranks then re-examines every pending receive and rendezvous against
+//! the new membership: the event scheduler's control plane at the end of
+//! the phase, or the parked ranks themselves on the thread-per-rank oracle
+//! host, which the death wakes.
 
 use cluster_sim::time::VirtualTime;
 use parking_lot::Mutex;
@@ -137,6 +139,16 @@ impl DeathBoard {
             .iter()
             .enumerate()
             .all(|(r, f)| r == rank || f.load(Ordering::SeqCst))
+    }
+
+    /// Whether the sender a receive by `me` waits on is gone for good:
+    /// `src` is dead, or — for [`crate::ANY_SOURCE`] — every peer is.
+    pub fn peer_gone(&self, me: usize, src: usize) -> bool {
+        if src == crate::ANY_SOURCE {
+            self.all_peers_dead(me)
+        } else {
+            self.is_dead(src)
+        }
     }
 }
 

@@ -8,20 +8,20 @@
 //! host scheduling — a "100-second" run finishes in milliseconds of wall
 //! time and is exactly reproducible.
 //!
-//! Two execution backends share that model, selected by [`SimBackend`]:
+//! Ranks run on one of two hosts that share that model and the same poll
+//! API — every blocking [`Proc`] operation returns [`Poll`]:
 //!
-//! * **Threads** ([`World::run`]) — one OS thread per rank, parking on
-//!   blocking calls. The original backend and the differential oracle;
+//! * **The event scheduler** ([`World::run_event`]) — the production host.
+//!   Each rank is a resumable [`RankTask`]; a `Pending` operation is a
+//!   yield point, and a global event queue ordered by `(instant, rank)`
+//!   picks what runs next. One process simulates the paper's 16,384 ranks.
+//!   See [`sched`].
+//! * **The thread-per-rank oracle** ([`World::run`] for closures,
+//!   [`World::run_threaded`] for tasks) — one OS thread per rank. A
+//!   `Pending` operation parks the thread ([`Proc::park`], or the
+//!   [`Proc::block_on`] loop) until the world changes. It exists for
+//!   differential tests and for programs that cannot yield; it is
 //!   comfortable up to a few hundred ranks.
-//! * **Event** ([`World::run_event`]) — an event-driven virtual-time
-//!   scheduler: each rank is a resumable [`RankTask`], every blocking
-//!   [`Proc`] operation is a yield point returning [`Poll`], and a global
-//!   event queue ordered by `(instant, rank)` picks what runs next. One
-//!   process simulates the paper's 16,384 ranks. See [`sched`].
-//!
-//! Every blocking `Proc` operation therefore returns [`Poll`]: thread-backed
-//! code unwraps with [`Poll::ready`], event-driven tasks treat `Pending` as
-//! "yield and re-poll on resume".
 //!
 //! The API mirrors the MPI subset the paper's applications use: blocking
 //! send/recv, barrier, bcast, reduce, allreduce, allgather, alltoall, plus
@@ -43,7 +43,7 @@
 //! let cluster = Arc::new(ClusterConfig::quiet(4).build());
 //! let finals = World::new(cluster).run(|proc| {
 //!     proc.compute(cluster_sim::node::Work::cpu(1_000), 0.0);
-//!     proc.barrier().ready();
+//!     proc.block_on(|p| p.barrier());
 //!     proc.now()
 //! });
 //! // All ranks leave the barrier at the same virtual instant.

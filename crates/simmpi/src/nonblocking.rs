@@ -10,8 +10,8 @@
 use crate::p2p::RecvInfo;
 use cluster_sim::time::VirtualTime;
 
-/// Handle for a posted nonblocking receive. `Copy`, so event-driven
-/// callers can re-submit the same request on every poll.
+/// Handle for a posted nonblocking receive. `Copy`, so callers can
+/// re-submit the same request on every poll.
 #[derive(Clone, Copy, Debug)]
 #[must_use = "an irecv must be completed with Proc::wait"]
 pub struct RecvRequest {
@@ -74,7 +74,7 @@ mod tests {
             } else {
                 let req = p.irecv(0, 5);
                 p.compute(Work::cpu(2_000_000), 0.0); // 2 ms of useful work
-                let info = p.wait(req).ready();
+                let info = p.block_on(|p| p.wait(req));
                 assert_eq!(info.src, 0);
                 p.now()
             }
@@ -88,7 +88,7 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_matches_blocking_modulo_call_overhead() {
+    fn irecv_wait_matches_recv_modulo_call_overhead() {
         // Under the eager protocol the transfer starts at send time either
         // way, so early posting and late blocking receive complete at the
         // same virtual instant — the nonblocking version pays only one
@@ -99,7 +99,7 @@ mod tests {
                 p.send(1, 10 << 20, 5, 0);
             } else {
                 p.compute(Work::cpu(2_000_000), 0.0);
-                p.recv(0, 5).ready();
+                p.block_on(|p| p.recv(0, 5));
             }
             p.now()
         });
@@ -110,7 +110,7 @@ mod tests {
             } else {
                 let req = p.irecv(0, 5);
                 p.compute(Work::cpu(2_000_000), 0.0);
-                p.wait(req).ready();
+                p.block_on(|p| p.wait(req));
             }
             p.now()
         });
@@ -130,7 +130,7 @@ mod tests {
             if p.rank() == 0 {
                 let r1 = p.irecv(1, 1);
                 let r2 = p.irecv(2, 2);
-                let infos = p.waitall(&[r1, r2]).ready();
+                let infos = p.block_on(|p| p.waitall(&[r1, r2]));
                 infos.iter().map(|i| i.value).sum::<i64>()
             } else {
                 p.send(0, 64, p.rank() as i64, p.rank() as i64 * 100);
@@ -150,7 +150,7 @@ mod tests {
                 assert!(req.injected_at().as_nanos() >= 500);
                 p.wait_send(req);
             } else {
-                assert_eq!(p.recv(0, 9).ready().value, 7);
+                assert_eq!(p.block_on(|p| p.recv(0, 9)).value, 7);
             }
         });
     }

@@ -2,14 +2,15 @@
 //!
 //! A [`Mailbox`] per rank holds in-flight messages. Sends are *eager*: the
 //! sender deposits the message stamped with its virtual clock and moves on
-//! (plus a fixed software overhead). A receive blocks — in real time — until
-//! a matching message exists, then completes at virtual time
-//! `max(post_time, arrival_time)`, where arrival is the send time plus the
-//! network cost at the send instant.
+//! (plus a fixed software overhead). A receive is a yield point: it is
+//! `Pending` until a matching message exists (or the peer is known dead),
+//! then completes at virtual time `max(post_time, arrival_time)`, where
+//! arrival is the send time plus the network cost at the send instant.
 
 use crate::death::DeathBoard;
+use crate::sched::Poll;
 use cluster_sim::time::VirtualTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::time::Duration as StdDuration;
@@ -19,7 +20,8 @@ pub const ANY_SOURCE: usize = usize::MAX;
 /// Wildcard tag for [`crate::Proc::recv`].
 pub const ANY_TAG: i64 = i64::MIN;
 
-/// How long a receive may block in *real* time before the simulation
+/// How long a rank parked on the thread-per-rank oracle host may wait in
+/// *real* time, with nothing in the world changing, before the simulation
 /// declares a deadlock. Virtual time never times out.
 pub(crate) const DEADLOCK_TIMEOUT: StdDuration = StdDuration::from_secs(30);
 
@@ -122,137 +124,63 @@ impl std::error::Error for RecvError {}
 #[derive(Debug, Default)]
 pub struct Mailbox {
     inner: Mutex<VecDeque<Message>>,
-    cond: Condvar,
+}
+
+/// Whether a message matches a `(src, tag)` request, wildcards included.
+fn matches(m: &Message, src: usize, tag: i64) -> bool {
+    (src == ANY_SOURCE || m.src == src) && (tag == ANY_TAG || m.tag == tag)
 }
 
 impl Mailbox {
-    /// Deposit a message and wake any waiting receiver.
+    /// Deposit a message.
     pub fn push(&self, msg: Message) {
         self.inner.lock().push_back(msg);
-        self.cond.notify_all();
     }
 
-    /// Block until a message matching `(src, tag)` is available and remove
-    /// it. Wildcards [`ANY_SOURCE`] / [`ANY_TAG`] match anything; among
-    /// multiple matches the one with the earliest `(arrives_at, src)` wins,
-    /// which keeps wildcard receives as deterministic as eager delivery
-    /// allows.
+    /// Resolve a receive of `(src, tag)` posted by rank `me`, without
+    /// blocking. Wildcards [`ANY_SOURCE`] / [`ANY_TAG`] match anything;
+    /// among multiple matches the one with the earliest `(arrives_at, src)`
+    /// wins, which keeps wildcard receives as deterministic as eager
+    /// delivery allows.
     ///
-    /// # Panics
-    ///
-    /// Panics after a 30-second real-time deadlock timeout with no match;
-    /// use [`Self::try_take_matching`] to observe the timeout as a typed
-    /// [`RecvError`] instead.
-    pub fn take_matching(&self, src: usize, tag: i64) -> Message {
-        self.try_take_matching(src, tag)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Self::take_matching`]: returns
-    /// [`RecvError::DeadlockTimeout`] instead of panicking when the
-    /// real-time deadlock window elapses with no matching send.
-    pub fn try_take_matching(&self, src: usize, tag: i64) -> Result<Message, RecvError> {
-        let mut q = self.inner.lock();
-        loop {
-            let best = q
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| {
-                    (src == ANY_SOURCE || m.src == src) && (tag == ANY_TAG || m.tag == tag)
-                })
-                .min_by_key(|(_, m)| (m.arrives_at, m.src))
-                .map(|(i, _)| i);
-            if let Some(i) = best {
-                return Ok(q.remove(i).expect("index valid under lock"));
-            }
-            if self.cond.wait_for(&mut q, DEADLOCK_TIMEOUT).timed_out() {
-                return Err(RecvError::DeadlockTimeout {
-                    src,
-                    tag,
-                    queued: q.len(),
-                });
-            }
-        }
-    }
-
-    /// Death-aware variant of [`Self::try_take_matching`]: additionally
-    /// returns [`RecvError::PeerDead`] once the requested source (or, for
-    /// [`ANY_SOURCE`], every peer of `me`) is marked dead on `board` with
-    /// no matching message queued. A dead peer publishes all pre-death
-    /// sends before its board flag, so the verdict is deterministic: flag
-    /// set + empty match ⇒ the message can never arrive.
-    pub fn try_take_matching_failstop(
+    /// A queued match always wins, even from a dead sender: a dying rank
+    /// publishes all its pre-death sends before its `board` flag, so "flag
+    /// set and no match queued" is a final verdict — `Ready(Err(PeerDead))`
+    /// once the requested source (or, for [`ANY_SOURCE`], every peer of
+    /// `me`) is dead. Otherwise the receive is still `Pending`.
+    pub fn poll_recv(
         &self,
         src: usize,
         tag: i64,
         board: &DeathBoard,
         me: usize,
-    ) -> Result<Message, RecvError> {
-        let mut q = self.inner.lock();
-        loop {
-            let best = q
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| {
-                    (src == ANY_SOURCE || m.src == src) && (tag == ANY_TAG || m.tag == tag)
-                })
-                .min_by_key(|(_, m)| (m.arrives_at, m.src))
-                .map(|(i, _)| i);
-            if let Some(i) = best {
-                return Ok(q.remove(i).expect("index valid under lock"));
-            }
-            let peer_gone = if src == ANY_SOURCE {
-                board.all_peers_dead(me)
-            } else {
-                board.is_dead(src)
-            };
-            if peer_gone {
-                return Err(RecvError::PeerDead { src, tag });
-            }
-            if self.cond.wait_for(&mut q, DEADLOCK_TIMEOUT).timed_out() {
-                return Err(RecvError::DeadlockTimeout {
-                    src,
-                    tag,
-                    queued: q.len(),
-                });
-            }
-        }
-    }
-
-    /// Non-blocking take: remove and return the best `(arrives_at, src)`
-    /// match right now, or `None` if nothing matches. The event scheduler's
-    /// retry path uses this — same selection rule as the blocking variants,
-    /// so both backends pick the same message among multiple matches.
-    pub fn poll_take_matching(&self, src: usize, tag: i64) -> Option<Message> {
+    ) -> Poll<Result<Message, RecvError>> {
         let mut q = self.inner.lock();
         let best = q
             .iter()
             .enumerate()
-            .filter(|(_, m)| {
-                (src == ANY_SOURCE || m.src == src) && (tag == ANY_TAG || m.tag == tag)
-            })
+            .filter(|(_, m)| matches(m, src, tag))
             .min_by_key(|(_, m)| (m.arrives_at, m.src))
             .map(|(i, _)| i);
-        best.map(|i| q.remove(i).expect("index valid under lock"))
+        if let Some(i) = best {
+            return Poll::Ready(Ok(q.remove(i).expect("index valid under lock")));
+        }
+        if board.peer_gone(me, src) {
+            return Poll::Ready(Err(RecvError::PeerDead { src, tag }));
+        }
+        Poll::Pending
     }
 
     /// Non-blocking peek: arrival instant of the message
-    /// [`Self::poll_take_matching`] would return, without removing it. The
-    /// event scheduler uses this to decide *when* a blocked receive can
+    /// [`Self::poll_recv`] would return, without removing it. The event
+    /// scheduler uses this to decide *when* a blocked receive can
     /// complete.
     pub fn best_arrival(&self, src: usize, tag: i64) -> Option<VirtualTime> {
         let q = self.inner.lock();
         q.iter()
-            .filter(|m| (src == ANY_SOURCE || m.src == src) && (tag == ANY_TAG || m.tag == tag))
+            .filter(|m| matches(m, src, tag))
             .map(|m| m.arrives_at)
             .min()
-    }
-
-    /// Wake every waiter so it can re-examine its wait condition (used
-    /// when a rank dies — blocked receivers must notice the death).
-    pub fn wake_all(&self) {
-        let _guard = self.inner.lock();
-        self.cond.notify_all();
     }
 
     /// Number of queued messages (diagnostics).
@@ -281,12 +209,20 @@ mod tests {
         }
     }
 
+    /// Resolve a receive on a world where nobody has died.
+    fn take(mb: &Mailbox, src: usize, tag: i64) -> Message {
+        match mb.poll_recv(src, tag, &DeathBoard::new(8), 0) {
+            Poll::Ready(Ok(m)) => m,
+            other => panic!("expected a queued match, got {other:?}"),
+        }
+    }
+
     #[test]
     fn exact_match_takes_only_matching() {
         let mb = Mailbox::default();
         mb.push(msg(1, 7, 100));
         mb.push(msg(2, 7, 50));
-        let m = mb.take_matching(1, 7);
+        let m = take(&mb, 1, 7);
         assert_eq!(m.src, 1);
         assert_eq!(mb.len(), 1);
     }
@@ -296,7 +232,7 @@ mod tests {
         let mb = Mailbox::default();
         mb.push(msg(1, 7, 100));
         mb.push(msg(2, 7, 50));
-        let m = mb.take_matching(ANY_SOURCE, 7);
+        let m = take(&mb, ANY_SOURCE, 7);
         assert_eq!(m.src, 2);
     }
 
@@ -304,27 +240,20 @@ mod tests {
     fn any_tag_matches_any() {
         let mb = Mailbox::default();
         mb.push(msg(3, 42, 10));
-        let m = mb.take_matching(3, ANY_TAG);
+        let m = take(&mb, 3, ANY_TAG);
         assert_eq!(m.tag, 42);
         assert!(mb.is_empty());
     }
 
     #[test]
-    fn blocked_recv_wakes_on_push() {
-        let mb = std::sync::Arc::new(Mailbox::default());
-        let mb2 = mb.clone();
-        let h = std::thread::spawn(move || mb2.take_matching(0, 1));
-        std::thread::sleep(StdDuration::from_millis(20));
-        mb.push(msg(0, 1, 5));
-        let m = h.join().unwrap();
-        assert_eq!(m.src, 0);
-    }
-
-    #[test]
-    fn try_take_matching_returns_available_message() {
+    fn no_match_is_pending_while_the_peer_lives() {
         let mb = Mailbox::default();
-        mb.push(msg(1, 7, 10));
-        assert_eq!(mb.try_take_matching(1, 7).unwrap().src, 1);
+        mb.push(msg(2, 7, 10));
+        let board = DeathBoard::new(3);
+        assert_eq!(mb.poll_recv(1, 7, &board, 0), Poll::Pending);
+        assert_eq!(mb.best_arrival(1, 7), None);
+        assert_eq!(mb.best_arrival(2, 7), Some(VirtualTime(10)));
+        assert_eq!(mb.len(), 1, "a pending poll removes nothing");
     }
 
     #[test]
@@ -347,27 +276,26 @@ mod tests {
         board.mark_dead(1);
         // A message the peer sent before dying still completes the recv.
         mb.push(msg(1, 7, 10));
-        let m = mb.try_take_matching_failstop(1, 7, &board, 0).unwrap();
-        assert_eq!(m.src, 1);
+        match mb.poll_recv(1, 7, &board, 0) {
+            Poll::Ready(Ok(m)) => assert_eq!(m.src, 1),
+            other => panic!("queued pre-death message must win: {other:?}"),
+        }
         // With the queue drained, the death is final.
         assert_eq!(
-            mb.try_take_matching_failstop(1, 7, &board, 0),
-            Err(RecvError::PeerDead { src: 1, tag: 7 })
+            mb.poll_recv(1, 7, &board, 0),
+            Poll::Ready(Err(RecvError::PeerDead { src: 1, tag: 7 }))
         );
     }
 
     #[test]
-    fn failstop_recv_wakes_when_peer_dies() {
-        let mb = std::sync::Arc::new(Mailbox::default());
-        let board = std::sync::Arc::new(DeathBoard::new(2));
-        let (mb2, board2) = (mb.clone(), board.clone());
-        let h = std::thread::spawn(move || mb2.try_take_matching_failstop(1, 0, &board2, 0));
-        std::thread::sleep(StdDuration::from_millis(20));
+    fn failstop_recv_resolves_once_the_peer_dies() {
+        let mb = Mailbox::default();
+        let board = DeathBoard::new(2);
+        assert_eq!(mb.poll_recv(1, 0, &board, 0), Poll::Pending);
         board.mark_dead(1);
-        mb.wake_all();
         assert_eq!(
-            h.join().unwrap(),
-            Err(RecvError::PeerDead { src: 1, tag: 0 })
+            mb.poll_recv(1, 0, &board, 0),
+            Poll::Ready(Err(RecvError::PeerDead { src: 1, tag: 0 }))
         );
     }
 
@@ -376,22 +304,21 @@ mod tests {
         let mb = Mailbox::default();
         let board = DeathBoard::new(3);
         board.mark_dead(1);
-        // Rank 2 is still alive, so ANY_SOURCE keeps waiting — push a
-        // message from it so the wait completes rather than timing out.
+        // Rank 2 is still alive, so ANY_SOURCE keeps waiting...
+        assert_eq!(mb.poll_recv(ANY_SOURCE, 0, &board, 0), Poll::Pending);
+        // ...and completes from it.
         mb.push(msg(2, 0, 5));
-        assert_eq!(
-            mb.try_take_matching_failstop(ANY_SOURCE, 0, &board, 0)
-                .unwrap()
-                .src,
-            2
-        );
+        match mb.poll_recv(ANY_SOURCE, 0, &board, 0) {
+            Poll::Ready(Ok(m)) => assert_eq!(m.src, 2),
+            other => panic!("live peer's message must complete the recv: {other:?}"),
+        }
         board.mark_dead(2);
         assert_eq!(
-            mb.try_take_matching_failstop(ANY_SOURCE, 0, &board, 0),
-            Err(RecvError::PeerDead {
+            mb.poll_recv(ANY_SOURCE, 0, &board, 0),
+            Poll::Ready(Err(RecvError::PeerDead {
                 src: ANY_SOURCE,
                 tag: 0
-            })
+            }))
         );
     }
 
@@ -408,6 +335,6 @@ mod tests {
         let mb = Mailbox::default();
         mb.push(msg(5, 1, 50));
         mb.push(msg(2, 1, 50));
-        assert_eq!(mb.take_matching(ANY_SOURCE, 1).src, 2);
+        assert_eq!(take(&mb, ANY_SOURCE, 1).src, 2);
     }
 }

@@ -4,6 +4,12 @@
 //! virtual clock, forwards compute/communication requests to the shared
 //! cluster model, and tallies [`crate::ProcStats`]. All MPI entry points
 //! charge a small fixed software overhead, like real MPI library calls.
+//!
+//! Every blocking operation is a yield point returning [`Poll`]. The first
+//! poll latches the operation's entry effects; a `Pending` operation is
+//! re-polled with the same arguments until it completes. The event
+//! scheduler re-polls when the rank's wake-up comes due; the thread-per-rank
+//! oracle host re-polls after [`Proc::park`].
 
 use crate::collectives::{CollectiveEntry, CollectiveResult, CollectiveSlot, ReduceOp};
 use crate::comm::{Comm, CommRegistry};
@@ -11,6 +17,7 @@ use crate::death::{DeathBoard, DeathUnwind};
 use crate::p2p::{Mailbox, Message, RecvError, RecvInfo, ANY_SOURCE};
 use crate::sched::Poll;
 use crate::stats::ProcStats;
+use crate::world::OracleWait;
 use cluster_sim::network::CollectiveOp;
 use cluster_sim::node::Work;
 use cluster_sim::time::{Duration, VirtualTime};
@@ -41,25 +48,64 @@ pub(crate) struct WorldShared {
     pub comms: CommRegistry,
     /// Fail-stop liveness flags, one per rank.
     pub board: DeathBoard,
+    /// The wait point parked ranks share — present only on the
+    /// thread-per-rank oracle host ([`crate::World::run`]).
+    pub oracle: Option<OracleWait>,
 }
 
 impl WorldShared {
-    /// Publish a rank's death: mark the board, then wake every blocked
-    /// receiver and collective waiter so they re-examine their wait
-    /// conditions against the new membership. Must run *after* the dying
-    /// rank's last effects (sends, collective arrivals) are visible.
+    /// Publish a rank's death: mark the board, then wake the oracle host's
+    /// parked ranks so they re-examine their waits against the new
+    /// membership (the event scheduler rescans at the end of the phase).
+    /// Must run *after* the dying rank's last effects (sends, collective
+    /// arrivals) are visible.
     pub(crate) fn announce_death(&self, rank: usize) {
         self.board.mark_dead(rank);
-        for mb in &self.mailboxes {
-            mb.wake_all();
+        if let Some(wait) = &self.oracle {
+            wait.notify();
         }
-        self.collective.wake_all();
-        self.comms.wake_all();
+    }
+
+    /// Virtual instant a receive by `me` from `src`, posted at `posted`,
+    /// completes degraded once its peer is dead and no message is coming:
+    /// `max(posted, death) + death_timeout`, where `death` is the peer's
+    /// planned death instant (the latest peer death for [`ANY_SOURCE`]).
+    /// Computed from the fault plan, never from when the death was
+    /// observed, so both hosts agree on it.
+    pub(crate) fn degraded_at(&self, me: usize, src: usize, posted: VirtualTime) -> VirtualTime {
+        let death = if src == ANY_SOURCE {
+            (0..self.mailboxes.len())
+                .filter(|&r| r != me)
+                .filter_map(|r| self.cluster.death_of(r))
+                .max()
+        } else {
+            self.cluster.death_of(src)
+        };
+        posted.max(death.unwrap_or(posted)) + self.cluster.faults().death_timeout()
+    }
+
+    /// The completion check for one rendezvous: if every alive member has
+    /// registered, complete it and return the common exit instant. The
+    /// event scheduler's control plane runs this for the keys a phase
+    /// touched; a parked oracle rank runs it for the key it waits on.
+    pub(crate) fn try_complete(&self, key: GroupKey) -> Option<VirtualTime> {
+        match key {
+            GroupKey::World => self
+                .collective
+                .try_complete(&self.cluster, &self.board)
+                .map(|res| res.exit),
+            GroupKey::Comm(id) => self
+                .comms
+                .slot_by_id(id)
+                .and_then(|slot| slot.try_complete(&self.cluster, &self.board))
+                .map(|res| res.exit),
+            GroupKey::Split => self.comms.try_complete_split(&self.cluster),
+        }
     }
 }
 
 /// Identifies the rendezvous group a pending collective belongs to, so the
-/// event scheduler can route completion notifications.
+/// host can route completion checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum GroupKey {
     /// The world collective slot.
@@ -108,21 +154,25 @@ pub(crate) enum EventWait {
     Group(GroupKey),
 }
 
-/// Per-rank state that exists only under the event scheduler.
+/// Per-rank yield-point state: the latched operation and the
+/// notifications its host drains.
 #[derive(Debug, Default)]
 struct EventState {
     pending: Option<PendingOp>,
-    /// Destinations of sends since the last yield (scheduler re-examines
-    /// those ranks' blocked receives).
+    /// Destinations of sends since the last yield (the event scheduler
+    /// re-examines those ranks' blocked receives; the oracle host wakes
+    /// its parked ranks on each send instead).
     sent_to: Vec<usize>,
     /// Group rendezvous this rank registered for since the last yield. The
-    /// control plane runs the completion check (`try_complete`) for each
-    /// touched key at the end of the dispatch phase — registration never
-    /// completes inline in event mode, so same-instant members can never
-    /// be stranded by a completion racing their wait registration.
+    /// host runs the completion check (`try_complete`) for each touched
+    /// key — the event scheduler at the end of the dispatch phase.
+    /// Registration never completes inline, so same-instant members can
+    /// never be stranded by a completion racing their wait registration.
     group_touched: Vec<GroupKey>,
     /// Completed sub-receives of an in-progress `waitall`.
     waitall_done: Vec<RecvInfo>,
+    /// The oracle wait epoch this rank last observed (see [`Proc::park`]).
+    seen_epoch: u64,
 }
 
 /// One rank's execution context.
@@ -134,10 +184,9 @@ pub struct Proc {
     sample_counter: u64,
     /// Scheduled fail-stop instant from the fault plan, if any.
     death_at: Option<VirtualTime>,
-    /// `Some` iff this rank runs under the event scheduler. Boxed so the
-    /// thread backend pays one pointer, not the whole struct, on the VM
-    /// hot loop's cache lines.
-    event: Option<Box<EventState>>,
+    /// Boxed so the VM hot loop's cache lines carry one pointer, not the
+    /// whole struct.
+    event: Box<EventState>,
     shared: Arc<WorldShared>,
 }
 
@@ -151,20 +200,14 @@ impl Proc {
             stats: ProcStats::default(),
             sample_counter: 0,
             death_at,
-            event: None,
+            event: Box::default(),
             shared,
         }
     }
 
-    /// Switch this rank to event-scheduler mode: blocking operations now
-    /// return [`Poll::Pending`] instead of parking the thread.
-    pub(crate) fn enable_event_mode(&mut self) {
-        self.event = Some(Box::default());
-    }
-
-    /// What this rank is blocked on, if anything (event mode only).
+    /// What this rank is blocked on, if anything.
     pub(crate) fn event_wait(&self) -> Option<EventWait> {
-        match self.event.as_ref()?.pending? {
+        match self.event.pending? {
             PendingOp::Recv { src, tag, .. } => Some(EventWait::Recv {
                 src,
                 tag,
@@ -178,19 +221,114 @@ impl Proc {
 
     /// Drain the notifications accumulated since the last yield.
     pub(crate) fn take_event_notifications(&mut self) -> (Vec<usize>, Vec<GroupKey>) {
-        let ev = self.event.as_mut().expect("event mode");
         (
-            std::mem::take(&mut ev.sent_to),
-            std::mem::take(&mut ev.group_touched),
+            std::mem::take(&mut self.event.sent_to),
+            std::mem::take(&mut self.event.group_touched),
         )
     }
 
-    fn pending(&self) -> Option<PendingOp> {
-        self.event.as_ref().and_then(|ev| ev.pending)
+    /// Thread-per-rank oracle host only: park this rank after one of its
+    /// operations returned [`Poll::Pending`], then re-poll it.
+    ///
+    /// First the rank runs the completion checks the event scheduler's
+    /// control plane would run for it — every rendezvous it registered
+    /// for, plus the one it waits on (a death may have shrunk it) — and
+    /// wakes the world if one completed. A receive that can already
+    /// complete returns at once. Otherwise the rank sleeps on the world's
+    /// one condvar until something changes: a send, a completed
+    /// rendezvous, a death, or a rank exit.
+    ///
+    /// # Panics
+    ///
+    /// Outside the oracle host (a pending operation under the event
+    /// scheduler must yield instead), and with the typed
+    /// [`RecvError::DeadlockTimeout`] / [`crate::CollectiveError::Deadlock`]
+    /// message when nothing in the world changes for 30 s of real time.
+    pub fn park(&mut self) {
+        let shared = self.shared.clone();
+        let Some(wait) = &shared.oracle else {
+            panic!(
+                "rank {}: Proc::park outside the thread-per-rank oracle host — a \
+                 Pending operation on the event scheduler must yield to it",
+                self.rank
+            );
+        };
+        let (_, touched) = self.take_event_notifications();
+        let mut completed = false;
+        for key in touched {
+            completed |= shared.try_complete(key).is_some();
+        }
+        match self.event_wait() {
+            // A message or death that landed before this rank last woke
+            // moves the epoch no further: re-poll now instead of sleeping.
+            Some(EventWait::Recv { src, tag, .. })
+                if shared.mailboxes[self.rank].best_arrival(src, tag).is_some()
+                    || shared.board.peer_gone(self.rank, src) =>
+            {
+                return;
+            }
+            // A death may have shrunk the rendezvous this rank waits on.
+            Some(EventWait::Group(key)) => completed |= shared.try_complete(key).is_some(),
+            _ => {}
+        }
+        if completed {
+            wait.notify();
+        }
+        match wait.park(self.event.seen_epoch) {
+            Some(epoch) => self.event.seen_epoch = epoch,
+            None => self.deadlock(),
+        }
     }
 
-    fn event_mut(&mut self) -> &mut EventState {
-        self.event.as_mut().expect("event mode")
+    /// Oracle host only: poll `op` until it completes, parking in between —
+    /// how closure programs under [`crate::World::run`] call blocking
+    /// operations, e.g. `proc.block_on(|p| p.barrier())`.
+    pub fn block_on<T>(&mut self, mut op: impl FnMut(&mut Proc) -> Poll<T>) -> T {
+        loop {
+            if let Poll::Ready(v) = op(self) {
+                return v;
+            }
+            self.park();
+        }
+    }
+
+    /// The oracle host's deadlock verdict for the operation this rank is
+    /// parked on, as the typed error of that operation.
+    fn deadlock(&self) -> ! {
+        let op = self
+            .event
+            .pending
+            .expect("a parked rank has a pending operation");
+        match op {
+            PendingOp::Recv { src, tag, .. } => panic!(
+                "rank {}: {}",
+                self.rank,
+                RecvError::DeadlockTimeout {
+                    src,
+                    tag,
+                    queued: self.shared.mailboxes[self.rank].len(),
+                }
+            ),
+            PendingOp::Collective { key, entry, .. } => {
+                let err = match key {
+                    GroupKey::Comm(id) => self
+                        .shared
+                        .comms
+                        .slot_by_id(id)
+                        .expect("a registered communicator has a slot")
+                        .deadlock(entry.op),
+                    _ => self.shared.collective.deadlock(entry.op),
+                };
+                panic!("rank {}: {err}", self.rank)
+            }
+            PendingOp::Split { .. } => panic!(
+                "rank {}: simmpi deadlock: comm split waited {:?} with {}/{} ranks",
+                self.rank,
+                crate::p2p::DEADLOCK_TIMEOUT,
+                self.shared.comms.split_arrived(),
+                self.size
+            ),
+        }
     }
 
     /// This rank's ID in `0..size`.
@@ -292,27 +430,11 @@ impl Proc {
         });
     }
 
-    /// Latest scheduled death among this rank's peers (for wildcard
-    /// receives whose every possible sender is dead).
-    fn latest_peer_death(&self) -> VirtualTime {
-        (0..self.size)
-            .filter(|&r| r != self.rank)
-            .filter_map(|r| self.shared.cluster.death_of(r))
-            .max()
-            .unwrap_or(self.clock)
-    }
-
     /// Complete a receive whose peer fail-stopped: no message ever arrives,
     /// so the receive degrades to a timeout-shaped completion at
-    /// `max(post, peer death) + death_timeout` with a zeroed payload.
+    /// [`WorldShared::degraded_at`] with a zeroed payload.
     fn degraded_recv(&mut self, start: VirtualTime, src: usize, tag: i64) -> RecvInfo {
-        let death = if src == ANY_SOURCE {
-            self.latest_peer_death()
-        } else {
-            self.shared.cluster.death_of(src).unwrap_or(self.clock)
-        };
-        let timeout = self.shared.cluster.faults().death_timeout();
-        self.clock = self.clock.max(death) + timeout;
+        self.clock = self.shared.degraded_at(self.rank, src, self.clock);
         self.stats.mpi_time += self.clock - start;
         self.stats.peer_dead_recvs += 1;
         self.trace_span(Category::MPI, "recv_peer_dead", start, 0, src as u64);
@@ -322,25 +444,6 @@ impl Proc {
             bytes: 0,
             value: 0,
             completed_at: self.clock,
-        }
-    }
-
-    /// Take a matching message, death-aware when the fault plan kills any
-    /// rank (the plain path stays untouched so healthy runs are
-    /// bit-identical to pre-fail-stop builds).
-    fn take_message(&mut self, src: usize, tag: i64) -> Result<Message, (usize, i64)> {
-        if !self.shared.cluster.has_deaths() {
-            return Ok(self.shared.mailboxes[self.rank].take_matching(src, tag));
-        }
-        match self.shared.mailboxes[self.rank].try_take_matching_failstop(
-            src,
-            tag,
-            &self.shared.board,
-            self.rank,
-        ) {
-            Ok(msg) => Ok(msg),
-            Err(RecvError::PeerDead { src, tag }) => Err((src, tag)),
-            Err(e) => panic!("rank {}: {e}", self.rank),
         }
     }
 
@@ -421,8 +524,9 @@ impl Proc {
             value,
         };
         self.shared.mailboxes[dest].push(msg);
-        if let Some(ev) = self.event.as_deref_mut() {
-            ev.sent_to.push(dest);
+        match &self.shared.oracle {
+            Some(wait) => wait.notify(),
+            None => self.event.sent_to.push(dest),
         }
         // Eager send: sender proceeds after the injection overhead; the
         // transfer itself overlaps with whatever the sender does next.
@@ -436,41 +540,23 @@ impl Proc {
     /// [`crate::p2p::ANY_SOURCE`] / [`crate::p2p::ANY_TAG`]. Completes at
     /// `max(post time, arrival time)`.
     ///
-    /// On the thread backend this is always [`Poll::Ready`]; under the
-    /// event scheduler it returns [`Poll::Pending`] until the matching
-    /// message (or the peer's death) resolves the wait — re-call with the
-    /// same arguments when resumed.
+    /// A yield point: the first poll latches the entry effects (fail-stop
+    /// gate, call overhead) and returns [`Poll::Pending`] — a rank with an
+    /// earlier clock that has not run yet could still send an
+    /// earlier-arriving match, so completing greedily would pick the wrong
+    /// message. Re-polls take the best match, or degrade once the peer is
+    /// known dead. Re-call with the same arguments until `Ready`.
     pub fn recv(&mut self, src: usize, tag: i64) -> Poll<RecvInfo> {
-        if self.event.is_some() {
-            return self.poll_recv(src, tag, "recv");
-        }
-        Poll::Ready(self.recv_blocking(src, tag, "recv"))
+        self.poll_recv(src, tag, "recv")
     }
 
-    /// Thread-backend receive: parks until a match exists.
-    fn recv_blocking(&mut self, src: usize, tag: i64, name: &'static str) -> RecvInfo {
-        self.failstop_check();
-        let start = self.clock;
-        self.clock += MPI_CALL_OVERHEAD;
-        let msg = match self.take_message(src, tag) {
-            Ok(msg) => msg,
-            Err((src, tag)) => return self.degraded_recv(start, src, tag),
-        };
-        self.finish_recv(start, name, msg)
-    }
-
-    /// Event-scheduler receive. First call latches the entry effects
-    /// (fail-stop gate, call overhead) and yields — a not-yet-resumed task
-    /// with an earlier clock could still send an earlier-arriving match, so
-    /// completing greedily here would pick the wrong message. Retries take
-    /// the best match non-blockingly or degrade if the peer is dead.
     fn poll_recv(&mut self, src: usize, tag: i64, name: &'static str) -> Poll<RecvInfo> {
-        let start = match self.pending() {
+        let start = match self.event.pending {
             None => {
                 self.failstop_check();
                 let start = self.clock;
                 self.clock += MPI_CALL_OVERHEAD;
-                self.event_mut().pending = Some(PendingOp::Recv { src, tag, start });
+                self.event.pending = Some(PendingOp::Recv { src, tag, start });
                 return Poll::Pending;
             }
             Some(PendingOp::Recv { start, .. }) => start,
@@ -479,23 +565,19 @@ impl Proc {
                 self.rank
             ),
         };
-        if let Some(msg) = self.shared.mailboxes[self.rank].poll_take_matching(src, tag) {
-            self.event_mut().pending = None;
-            return Poll::Ready(self.finish_recv(start, name, msg));
-        }
-        let peer_gone = if src == ANY_SOURCE {
-            self.shared.board.all_peers_dead(self.rank)
-        } else {
-            self.shared.board.is_dead(src)
+        let resolved =
+            self.shared.mailboxes[self.rank].poll_recv(src, tag, &self.shared.board, self.rank);
+        let Poll::Ready(outcome) = resolved else {
+            return Poll::Pending;
         };
-        if peer_gone {
-            self.event_mut().pending = None;
-            return Poll::Ready(self.degraded_recv(start, src, tag));
-        }
-        Poll::Pending
+        self.event.pending = None;
+        Poll::Ready(match outcome {
+            Ok(msg) => self.finish_recv(start, name, msg),
+            Err(_peer_dead) => self.degraded_recv(start, src, tag),
+        })
     }
 
-    /// Completion math shared by both backends: clock, stats, trace.
+    /// Receive completion math: clock, stats, trace.
     fn finish_recv(&mut self, start: VirtualTime, name: &'static str, msg: Message) -> RecvInfo {
         self.clock = self.clock.max(msg.arrives_at);
         self.stats.mpi_time += self.clock - start;
@@ -546,31 +628,21 @@ impl Proc {
     /// Complete a posted receive; completes at `max(now, arrival)` in
     /// virtual time. A yield point, like [`Self::recv`].
     pub fn wait(&mut self, req: crate::nonblocking::RecvRequest) -> Poll<RecvInfo> {
-        if self.event.is_some() {
-            return self.poll_recv(req.src, req.tag, "wait");
-        }
-        Poll::Ready(self.recv_blocking(req.src, req.tag, "wait"))
+        self.poll_recv(req.src, req.tag, "wait")
     }
 
-    /// Complete several receives, in order. A yield point; under the event
-    /// scheduler partial progress is kept across polls (requests are `Copy`,
-    /// so re-submitting the same slice is free).
+    /// Complete several receives, in order. A yield point; partial progress
+    /// is kept across polls (requests are `Copy`, so re-submitting the same
+    /// slice is free).
     pub fn waitall(&mut self, reqs: &[crate::nonblocking::RecvRequest]) -> Poll<Vec<RecvInfo>> {
-        if self.event.is_none() {
-            return Poll::Ready(
-                reqs.iter()
-                    .map(|r| self.recv_blocking(r.src, r.tag, "wait"))
-                    .collect(),
-            );
-        }
-        while self.event_mut().waitall_done.len() < reqs.len() {
-            let req = reqs[self.event_mut().waitall_done.len()];
+        while self.event.waitall_done.len() < reqs.len() {
+            let req = reqs[self.event.waitall_done.len()];
             match self.poll_recv(req.src, req.tag, "wait") {
-                Poll::Ready(info) => self.event_mut().waitall_done.push(info),
+                Poll::Ready(info) => self.event.waitall_done.push(info),
                 Poll::Pending => return Poll::Pending,
             }
         }
-        Poll::Ready(std::mem::take(&mut self.event_mut().waitall_done))
+        Poll::Ready(std::mem::take(&mut self.event.waitall_done))
     }
 
     /// Combined send+recv (exchange pattern used by stencil codes). A yield
@@ -583,14 +655,10 @@ impl Proc {
         tag: i64,
         value: i64,
     ) -> Poll<RecvInfo> {
-        if self.event.is_some() {
-            if self.pending().is_none() {
-                self.send(dest, send_bytes, tag, value);
-            }
-            return self.poll_recv(src, tag, "recv");
+        if self.event.pending.is_none() {
+            self.send(dest, send_bytes, tag, value);
         }
-        self.send(dest, send_bytes, tag, value);
-        Poll::Ready(self.recv_blocking(src, tag, "recv"))
+        self.poll_recv(src, tag, "recv")
     }
 
     /// The group key a collective registers under (world slot or the
@@ -603,38 +671,16 @@ impl Proc {
     }
 
     /// Rendezvous on the world slot (`comm == None`) or a sub-communicator
-    /// slot. Handles both backends; the entry/exit math is shared with the
-    /// slot itself, so the two backends are bit-identical by construction.
+    /// slot. The first poll registers and yields; re-polls check whether
+    /// the host's completion check has released the generation.
     fn group_collective(
         &mut self,
         comm: Option<&Comm>,
         entry: CollectiveEntry,
     ) -> Poll<CollectiveResult> {
         let sub = comm.is_some() as u64;
-        if self.event.is_none() {
-            self.failstop_check();
-            let start = self.clock;
-            let (name, bytes) = (collective_name(entry.op), entry.bytes);
-            let res = match comm {
-                None => {
-                    self.shared
-                        .collective
-                        .enter(&self.shared.cluster, &self.shared.board, entry)
-                }
-                Some(c) => {
-                    self.shared
-                        .comms
-                        .slot(c)
-                        .enter(&self.shared.cluster, &self.shared.board, entry)
-                }
-            }
-            .unwrap_or_else(|e| panic!("rank {}: {e}", self.rank));
-            self.apply_collective(start, name, bytes, sub, res);
-            return Poll::Ready(res);
-        }
-
         let key = Self::group_key(comm);
-        match self.pending() {
+        match self.event.pending {
             None => {
                 self.failstop_check();
                 let start = self.clock;
@@ -644,11 +690,10 @@ impl Proc {
                 }
                 .unwrap_or_else(|e| panic!("rank {}: {e}", self.rank));
                 // Never completes inline — even the last arriver yields;
-                // the scheduler's control plane completes touched keys
-                // after the whole dispatch phase has committed.
-                let ev = self.event_mut();
-                ev.group_touched.push(key);
-                ev.pending = Some(PendingOp::Collective {
+                // the host completes touched keys once every same-instant
+                // member has registered.
+                self.event.group_touched.push(key);
+                self.event.pending = Some(PendingOp::Collective {
                     key,
                     gen,
                     start,
@@ -670,7 +715,7 @@ impl Proc {
                 .unwrap_or_else(|e| panic!("rank {}: {e}", self.rank));
                 match done {
                     Some(res) => {
-                        self.event_mut().pending = None;
+                        self.event.pending = None;
                         let (name, bytes) = (collective_name(latched.op), latched.bytes);
                         self.apply_collective(start, name, bytes, sub, res);
                         Poll::Ready(res)
@@ -685,7 +730,7 @@ impl Proc {
         }
     }
 
-    /// Collective completion math shared by both backends.
+    /// Collective completion math: clock, stats, trace.
     fn apply_collective(
         &mut self,
         start: VirtualTime,
@@ -798,34 +843,22 @@ impl Proc {
     /// same `color` form a sub-communicator. A collective over the world,
     /// and a yield point.
     pub fn split(&mut self, color: i64) -> Poll<Comm> {
-        if self.event.is_none() {
-            self.failstop_check();
-            let start = self.clock;
-            let at = self.clock + MPI_CALL_OVERHEAD;
-            let (comm, exit) = self
-                .shared
-                .comms
-                .split(&self.shared.cluster, self.rank, color, at);
-            self.apply_split(start, color, exit);
-            return Poll::Ready(comm);
-        }
-        match self.pending() {
+        match self.event.pending {
             None => {
                 self.failstop_check();
                 let start = self.clock;
                 let at = self.clock + MPI_CALL_OVERHEAD;
                 let gen = self.shared.comms.poll_split_register(self.rank, color, at);
                 // As with collectives: the last arriver yields too; the
-                // control plane completes the split after the phase.
-                let ev = self.event_mut();
-                ev.group_touched.push(GroupKey::Split);
-                ev.pending = Some(PendingOp::Split { gen, start, color });
+                // host completes the split once everyone registered.
+                self.event.group_touched.push(GroupKey::Split);
+                self.event.pending = Some(PendingOp::Split { gen, start, color });
                 Poll::Pending
             }
             Some(PendingOp::Split { gen, start, color }) => {
                 match self.shared.comms.poll_split_finish(self.rank, gen) {
                     Some((comm, exit)) => {
-                        self.event_mut().pending = None;
+                        self.event.pending = None;
                         self.apply_split(start, color, exit);
                         Poll::Ready(comm)
                     }
@@ -839,7 +872,7 @@ impl Proc {
         }
     }
 
-    /// Split completion math shared by both backends.
+    /// Split completion math.
     fn apply_split(&mut self, start: VirtualTime, color: i64, exit: VirtualTime) {
         self.clock = self.clock.max(exit);
         self.stats.mpi_time += self.clock - start;

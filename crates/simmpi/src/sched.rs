@@ -1,11 +1,12 @@
-//! Event-driven virtual-time scheduler — the paper-scale backend.
+//! Event-driven virtual-time scheduler — the one production host.
 //!
-//! The thread backend ([`crate::World::run`]) spawns one OS thread per rank
-//! and parks it on every blocking MPI call; fine at 64 ranks, hopeless at
-//! the paper's 16,384. This module replaces parked threads with *resumable
-//! tasks*: every blocking [`crate::Proc`] operation is a yield point
-//! returning [`Poll`], and a global event queue ordered by
-//! `(virtual instant, rank)` decides which rank runs next.
+//! Parking one OS thread per rank on every blocking MPI call is fine at 64
+//! ranks and hopeless at the paper's 16,384. This module runs ranks as
+//! *resumable tasks* instead: every blocking [`crate::Proc`] operation is a
+//! yield point returning [`Poll`], and a global event queue ordered by
+//! `(virtual instant, rank)` decides which rank runs next. Thread-per-rank
+//! survives only as the differential oracle ([`crate::World::run`],
+//! [`crate::World::run_threaded`]).
 //!
 //! # Phase-structured dispatch
 //!
@@ -33,15 +34,16 @@
 //!   half the depth of the old binary heap on the pop-heavy schedule (see
 //!   the `schedheap` microbenchmark in the bench crate).
 //!
-//! # How the two backends stay bit-identical
+//! # How the scheduler and the oracle stay bit-identical
 //!
-//! The event paths do not reimplement any timing math. Registration and
-//! completion of collectives, splits, and message matching live in
-//! [`crate::collectives::CollectiveSlot`], [`crate::comm::CommRegistry`]
-//! and [`crate::p2p::Mailbox`], shared with the thread backend; the poll
-//! variants call the same private completion functions the blocking
-//! variants do. The differential suite in `interp` asserts bitwise-equal
-//! virtual times, [`crate::ProcStats`], sensor streams and reports.
+//! Both hosts drive the same poll API; neither has timing math of its own.
+//! Registration and completion of collectives, splits, and message
+//! matching live in [`crate::collectives::CollectiveSlot`],
+//! [`crate::comm::CommRegistry`] and [`crate::p2p::Mailbox`]. Where the
+//! scheduler's control plane runs a completion check for a touched
+//! rendezvous, a parked oracle rank runs the same check itself. The
+//! `event_equivalence` suite asserts bitwise-equal virtual times,
+//! [`crate::ProcStats`], sensor records and server results.
 //!
 //! # Determinism and the worker contract
 //!
@@ -71,7 +73,7 @@
 use crate::death::{death_in_payload, DeathUnwind};
 use crate::heap::{FourAryHeap, HeapEntry};
 use crate::proc::{EventWait, GroupKey, Proc, WorldShared};
-use crate::world::World;
+use crate::world::{relabel_panic, World};
 use cluster_sim::time::VirtualTime;
 use cluster_sim::trace::{self, Category, TraceEvent, SERVER_LANE};
 use std::any::Any;
@@ -82,11 +84,10 @@ use std::time::Instant;
 
 /// Result of polling a blocking [`Proc`] operation.
 ///
-/// On the thread backend every operation completes in-line and returns
-/// `Ready`; unwrap with [`Poll::ready`]. Under the event scheduler an
-/// operation that cannot complete yet latches its entry effects, returns
-/// `Pending`, and must be re-invoked with the same arguments when the task
-/// is next resumed.
+/// An operation that cannot complete yet latches its entry effects, returns
+/// `Pending`, and must be re-invoked with the same arguments: by a task
+/// when the event scheduler next resumes it, or after [`Proc::park`] on the
+/// thread-per-rank oracle host ([`Proc::block_on`] loops for closures).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[must_use = "a Pending operation must be re-polled when the task is resumed"]
 pub enum Poll<T> {
@@ -97,19 +98,6 @@ pub enum Poll<T> {
 }
 
 impl<T> Poll<T> {
-    /// Unwrap a completed operation. Panics on `Pending` — correct only on
-    /// the thread backend, where every operation completes in-line.
-    #[track_caller]
-    pub fn ready(self) -> T {
-        match self {
-            Poll::Ready(t) => t,
-            Poll::Pending => panic!(
-                "operation is Pending: blocking Proc calls only complete in-line on \
-                 SimBackend::Threads; event-driven tasks must yield and re-poll"
-            ),
-        }
-    }
-
     /// Map the completed value, passing `Pending` through.
     pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Poll<U> {
         match self {
@@ -124,13 +112,9 @@ impl<T> Poll<T> {
     }
 }
 
-/// Which simulation backend executes the ranks of a [`World`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// How the event scheduler dispatches the ranks of a [`World`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimBackend {
-    /// One OS thread per rank, parking on blocking calls. The original
-    /// backend and the differential oracle; default.
-    #[default]
-    Threads,
     /// Event-driven virtual-time scheduler: resumable tasks dispatched in
     /// deterministic phases; scales to the paper's 16,384 ranks in a
     /// single process. `workers > 1` resumes same-instant ranks on a
@@ -142,24 +126,22 @@ pub enum SimBackend {
     },
 }
 
-impl SimBackend {
-    /// The event backend with serial (single-worker) dispatch — the
-    /// common spelling at call sites.
-    pub fn event() -> Self {
+impl Default for SimBackend {
+    /// Serial dispatch.
+    fn default() -> Self {
         SimBackend::Event { workers: 1 }
     }
+}
 
-    /// Parse a backend name (`threads` / `event` / `event:N` with N
-    /// workers), as used by CLI flags.
+impl SimBackend {
+    /// Parse a backend name (`event` / `event:N` with N workers), as used
+    /// by CLI flags.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "threads" => Some(SimBackend::Threads),
-            "event" => Some(SimBackend::event()),
-            _ => {
-                let n = s.strip_prefix("event:")?.parse().ok()?;
-                (n >= 1).then_some(SimBackend::Event { workers: n })
-            }
+        if s == "event" {
+            return Some(SimBackend::default());
         }
+        let n = s.strip_prefix("event:")?.parse().ok()?;
+        (n >= 1).then_some(SimBackend::Event { workers: n })
     }
 }
 
@@ -190,28 +172,6 @@ pub trait RankTask {
     /// The rank's process handle (the scheduler drains notifications and
     /// inspects waits through it).
     fn proc_mut(&mut self) -> &mut Proc;
-}
-
-/// Virtual instant a blocked receive completes degraded (peer dead, no
-/// message coming): `max(posted, death) + death_timeout`. Mirrors
-/// `Proc::degraded_recv`, whose clock equals `posted` while blocked.
-fn degraded_due(
-    shared: &WorldShared,
-    me: usize,
-    size: usize,
-    src: usize,
-    posted: VirtualTime,
-) -> VirtualTime {
-    let death = if src == crate::p2p::ANY_SOURCE {
-        (0..size)
-            .filter(|&r| r != me)
-            .filter_map(|r| shared.cluster.death_of(r))
-            .max()
-            .unwrap_or(posted)
-    } else {
-        shared.cluster.death_of(src).unwrap_or(posted)
-    };
-    posted.max(death) + shared.cluster.faults().death_timeout()
 }
 
 /// All waiters of one completed rendezvous, released together at the
@@ -384,7 +344,7 @@ impl EventQueue {
 
     /// Record what a yielded rank is blocked on and queue its wake-up if
     /// the completion instant is already known.
-    fn classify(&mut self, rank: usize, size: usize, shared: &WorldShared, proc: &Proc) {
+    fn classify(&mut self, rank: usize, shared: &WorldShared, proc: &Proc) {
         let wait = proc
             .event_wait()
             .unwrap_or_else(|| panic!("rank {rank} yielded with no pending operation"));
@@ -393,8 +353,8 @@ impl EventQueue {
             EventWait::Recv { src, tag, posted } => {
                 if let Some(arr) = shared.mailboxes[rank].best_arrival(src, tag) {
                     self.schedule(rank, posted.max(arr));
-                } else if peer_gone(shared, rank, src) {
-                    self.schedule(rank, degraded_due(shared, rank, size, src, posted));
+                } else if shared.board.peer_gone(rank, src) {
+                    self.schedule(rank, shared.degraded_at(rank, src, posted));
                 }
                 // Otherwise: a future send or death notification wakes it.
             }
@@ -420,9 +380,9 @@ impl EventQueue {
                 // A matching in-flight message still completes normally
                 // (pre-death sends deliver); only a matchless wait degrades.
                 if shared.mailboxes[rank].best_arrival(src, tag).is_none()
-                    && peer_gone(shared, rank, src)
+                    && shared.board.peer_gone(rank, src)
                 {
-                    self.schedule(rank, degraded_due(shared, rank, size, src, posted));
+                    self.schedule(rank, shared.degraded_at(rank, src, posted));
                 }
             }
         }
@@ -443,19 +403,7 @@ impl EventQueue {
         }
         let mut touched = std::mem::take(&mut self.touched);
         for key in touched.drain(..) {
-            let exit = match key {
-                GroupKey::World => shared
-                    .collective
-                    .try_complete(&shared.cluster, &shared.board)
-                    .map(|res| res.exit),
-                GroupKey::Comm(id) => shared
-                    .comms
-                    .slot_by_id(id)
-                    .and_then(|slot| slot.try_complete(&shared.cluster, &shared.board))
-                    .map(|res| res.exit),
-                GroupKey::Split => shared.comms.try_complete_split(&shared.cluster),
-            };
-            if let Some(exit) = exit {
+            if let Some(exit) = shared.try_complete(key) {
                 if let Some(waiters) = self.group_waiters.remove(&key) {
                     self.release_group(exit, waiters);
                 }
@@ -481,15 +429,6 @@ impl EventQueue {
         waiters.clear();
         self.waiter_pool.push(waiters);
         self.batches.push(ReadyBatch { at, next: 0, ranks });
-    }
-}
-
-/// Is the peer side of a blocked receive gone for good?
-fn peer_gone(shared: &WorldShared, me: usize, src: usize) -> bool {
-    if src == crate::p2p::ANY_SOURCE {
-        shared.board.all_peers_dead(me)
-    } else {
-        shared.board.is_dead(src)
     }
 }
 
@@ -526,20 +465,21 @@ impl World {
     }
 
     /// Run every rank as a resumable task on the event-driven virtual-time
-    /// scheduler. `make` builds rank `r`'s task from its (event-mode)
-    /// [`Proc`]; `on_death` converts a fail-stopped task into its output,
-    /// like [`crate::catch_death`] does on the thread backend.
+    /// scheduler. `make` builds rank `r`'s task from its [`Proc`];
+    /// `on_death` converts a fail-stopped task into its output, like
+    /// [`crate::catch_death`] does for closures.
     ///
     /// `workers > 1` resumes same-instant ranks on a scoped worker pool;
     /// effects still commit in ascending rank order, so virtual times,
-    /// stats, and traces are bit-identical to [`World::run`] and to every
-    /// other worker count. One process handles tens of thousands of ranks.
+    /// stats, and traces are bit-identical to the oracle host
+    /// ([`World::run_threaded`]) and to every other worker count. One
+    /// process handles tens of thousands of ranks.
     ///
     /// # Panics
     ///
     /// With `"rank N panicked: ..."` if a task panics with a non-death
     /// payload, and with a deadlock message if the event queue drains while
-    /// unfinished tasks remain (the thread backend's 30-second real-time
+    /// unfinished tasks remain (the oracle host's 30-second real-time
     /// timeout becomes an immediate, precise diagnosis here).
     pub fn run_event_workers<T, F, D>(
         &self,
@@ -555,13 +495,9 @@ impl World {
     {
         let workers = workers.max(1);
         let size = self.size();
-        let shared = self.make_shared();
+        let shared = self.make_shared(false);
         let mut tasks: Vec<T> = (0..size)
-            .map(|rank| {
-                let mut proc = Proc::new(rank, size, shared.clone());
-                proc.enable_event_mode();
-                make(rank, proc)
-            })
+            .map(|rank| make(rank, Proc::new(rank, size, shared.clone())))
             .collect();
         let mut outputs: Vec<Option<T::Output>> = (0..size).map(|_| None).collect();
         let mut finished = vec![false; size];
@@ -651,7 +587,7 @@ impl World {
                     }
                     Ok(TaskPoll::Yielded) => {
                         q.drain(&shared, tasks[rank].proc_mut());
-                        q.classify(rank, size, &shared, tasks[rank].proc_mut());
+                        q.classify(rank, &shared, tasks[rank].proc_mut());
                     }
                     Err(payload) => {
                         if let Some(death) = death_in_payload(&*payload) {
@@ -663,12 +599,7 @@ impl World {
                             q.drain(&shared, tasks[rank].proc_mut());
                             deaths = true;
                         } else {
-                            let msg = payload
-                                .downcast_ref::<String>()
-                                .map(String::as_str)
-                                .or_else(|| payload.downcast_ref::<&str>().copied())
-                                .unwrap_or("<non-string panic>");
-                            panic!("rank {rank} panicked: {msg}");
+                            relabel_panic(rank, payload);
                         }
                     }
                 }
@@ -782,9 +713,9 @@ mod tests {
             let prev = (p.rank() + n - 1) % n;
             if p.rank() == 0 {
                 p.send(next, 8, 0, 5);
-                (p.recv(prev, 0).ready().value, p.now())
+                (p.block_on(|p| p.recv(prev, 0)).value, p.now())
             } else {
-                let v = p.recv(prev, 0).ready().value;
+                let v = p.block_on(|p| p.recv(prev, 0)).value;
                 p.send(next, 8, 0, v * 2);
                 (v, p.now())
             }
@@ -827,7 +758,7 @@ mod tests {
     fn event_barrier_matches_thread_barrier() {
         let threaded = quiet_world(8).run(|p| {
             p.compute(Work::cpu(1000 * (p.rank() as u64 + 1)), 0.0);
-            p.barrier().ready();
+            p.block_on(|p| p.barrier());
             p.now()
         });
         let evented = quiet_world(8).run_event(
@@ -856,7 +787,7 @@ mod tests {
     #[test]
     fn event_allreduce_matches_threads() {
         let threaded =
-            quiet_world(5).run(|p| p.allreduce(8, p.rank() as i64, ReduceOp::Sum).ready());
+            quiet_world(5).run(|p| p.block_on(|p| p.allreduce(8, p.rank() as i64, ReduceOp::Sum)));
         let evented = quiet_world(5).run_event(
             |_, proc| StepTask {
                 proc,
@@ -925,7 +856,7 @@ mod tests {
                     p.compute(Work::cpu(10_000), 0.0);
                     None
                 } else {
-                    Some((p.recv(0, 7).ready(), p.stats()))
+                    Some((p.block_on(|p| p.recv(0, 7)), p.stats()))
                 }
             })
             .ok()
@@ -978,8 +909,8 @@ mod tests {
 
     #[test]
     fn event_scales_past_thread_limits() {
-        // A modest smoke at a rank count the thread backend would need
-        // 2,048 stacks for; the event loop does it in-process, serially.
+        // A modest smoke at a rank count the oracle host would need 2,048
+        // stacks for; the event loop does it in-process, serially.
         let n = 2048;
         let ends = quiet_world(n).run_event(
             |_, proc| {
@@ -1045,8 +976,9 @@ mod tests {
 
     #[test]
     fn backend_parse_accepts_worker_counts() {
-        assert_eq!(SimBackend::parse("threads"), Some(SimBackend::Threads));
-        assert_eq!(SimBackend::parse("event"), Some(SimBackend::event()));
+        assert_eq!(SimBackend::default(), SimBackend::Event { workers: 1 });
+        assert_eq!(SimBackend::parse("threads"), None);
+        assert_eq!(SimBackend::parse("event"), Some(SimBackend::default()));
         assert_eq!(
             SimBackend::parse("event:8"),
             Some(SimBackend::Event { workers: 8 })

@@ -1,11 +1,72 @@
-//! World launcher: spawn one thread per rank and collect results.
+//! World launcher and the thread-per-rank oracle host.
+//!
+//! Production runs host their ranks on the event scheduler
+//! ([`World::run_event`], see [`crate::sched`]). This module also keeps the
+//! original host as an oracle: one OS thread per rank, driving the same
+//! poll API. A rank whose operation returns [`crate::Poll::Pending`] parks
+//! on the world's one condvar ([`Proc::park`]) and re-polls when anything
+//! changes.
+//! [`World::run`] hosts closures; [`World::run_threaded`] hosts the same
+//! [`RankTask`]s the scheduler runs, so differential suites can compare the
+//! two hosts on one program.
 
 use crate::collectives::CollectiveSlot;
-use crate::death::{death_in_payload, DeathBoard};
-use crate::p2p::Mailbox;
+use crate::death::{death_in_payload, DeathBoard, DeathUnwind};
+use crate::p2p::{Mailbox, DEADLOCK_TIMEOUT};
 use crate::proc::{Proc, WorldShared};
+use crate::sched::{RankTask, TaskPoll};
 use cluster_sim::Cluster;
+use parking_lot::{Condvar, Mutex};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Instant;
+
+/// The oracle host's one wait point. Every world change a parked rank may
+/// be waiting for — a send, a completed rendezvous, a death, a rank exit —
+/// bumps the epoch and wakes every parked rank, which re-polls its
+/// pending operation.
+#[derive(Default)]
+pub(crate) struct OracleWait {
+    state: Mutex<WaitState>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct WaitState {
+    epoch: u64,
+    parked: usize,
+}
+
+impl OracleWait {
+    /// Record a world change and wake the parked ranks.
+    pub(crate) fn notify(&self) {
+        let mut st = self.state.lock();
+        st.epoch += 1;
+        if st.parked > 0 {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Wait until the epoch moves past `seen` and return the new epoch, or
+    /// `None` once [`DEADLOCK_TIMEOUT`] of real time passes with no change.
+    /// A rank that polled after observing `seen` therefore never misses a
+    /// change that raced its poll.
+    pub(crate) fn park(&self, seen: u64) -> Option<u64> {
+        let mut st = self.state.lock();
+        let deadline = Instant::now() + DEADLOCK_TIMEOUT;
+        st.parked += 1;
+        while st.epoch == seen {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            self.changed.wait_for(&mut st, left);
+        }
+        st.parked -= 1;
+        (st.epoch != seen).then_some(st.epoch)
+    }
+}
 
 /// An MPI world: the cluster plus rank bookkeeping. Create once per run.
 pub struct World {
@@ -23,8 +84,9 @@ impl World {
         self.cluster.ranks()
     }
 
-    /// Build the state shared by all ranks of one run (both backends).
-    pub(crate) fn make_shared(&self) -> Arc<WorldShared> {
+    /// Build the state shared by all ranks of one run; `oracle` adds the
+    /// thread-per-rank host's wait point.
+    pub(crate) fn make_shared(&self, oracle: bool) -> Arc<WorldShared> {
         let size = self.size();
         Arc::new(WorldShared {
             cluster: self.cluster.clone(),
@@ -32,24 +94,66 @@ impl World {
             collective: CollectiveSlot::new(size),
             comms: crate::comm::CommRegistry::new(size),
             board: DeathBoard::new(size),
+            oracle: oracle.then(OracleWait::default),
         })
     }
 
-    /// Run `f` on every rank concurrently; returns the per-rank results in
-    /// rank order. Panics in any rank propagate (with that rank's ID in the
-    /// message).
+    /// Run `f` on every rank concurrently, one OS thread per rank (the
+    /// oracle host); returns the per-rank results in rank order. Blocking
+    /// operations are called through [`Proc::block_on`]. Panics in any
+    /// rank propagate (with that rank's ID in the message).
     ///
-    /// The closure runs on real threads, but all timing it observes through
-    /// [`Proc`] is virtual, so results are independent of host scheduling
-    /// (for deterministic matching — see crate docs).
+    /// All timing the closure observes through [`Proc`] is virtual, so
+    /// virtual times are independent of host scheduling (for deterministic
+    /// matching — see crate docs).
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
         F: Fn(&mut Proc) -> R + Sync,
         R: Send,
     {
+        self.spawn_ranks(|_, mut proc| f(&mut proc))
+    }
+
+    /// Host every rank's [`RankTask`] on its own OS thread — the oracle
+    /// counterpart of [`World::run_event`], with the same `make` and
+    /// `on_death` contract. A task that yields parks ([`Proc::park`]) and
+    /// is resumed when the world changes; a task may also block inside
+    /// `resume` by parking itself. Virtual times, stats and sensor streams
+    /// are bit-identical to the event scheduler's.
+    pub fn run_threaded<T, F, D>(&self, make: F, on_death: D) -> Vec<T::Output>
+    where
+        T: RankTask,
+        T::Output: Send,
+        F: Fn(usize, Proc) -> T + Sync,
+        D: Fn(DeathUnwind, &mut T) -> T::Output + Sync,
+    {
+        self.spawn_ranks(|rank, proc| {
+            let mut task = make(rank, proc);
+            loop {
+                match catch_unwind(AssertUnwindSafe(|| task.resume())) {
+                    Ok(TaskPoll::Ready(out)) => return out,
+                    Ok(TaskPoll::Yielded) => task.proc_mut().park(),
+                    Err(payload) => match death_in_payload(&*payload) {
+                        Some(death) => return on_death(death, &mut task),
+                        None => resume_unwind(payload),
+                    },
+                }
+            }
+        })
+    }
+
+    /// Spawn one thread per rank running `body`, join them in rank order,
+    /// and relabel rank panics. Every rank exit — normal or not — wakes
+    /// the parked ranks, so a poisoned rendezvous or a finished peer is
+    /// seen promptly.
+    fn spawn_ranks<F, R>(&self, body: F) -> Vec<R>
+    where
+        F: Fn(usize, Proc) -> R + Sync,
+        R: Send,
+    {
         let size = self.size();
-        let shared = self.make_shared();
-        let f = &f;
+        let shared = self.make_shared(true);
+        let body = &body;
         // Rank programs (interpreters) can recurse deeply; debug builds use
         // sizeable frames, so give each rank thread a generous stack.
         const RANK_STACK: usize = 16 << 20;
@@ -61,8 +165,12 @@ impl World {
                         .name(format!("rank-{rank}"))
                         .stack_size(RANK_STACK)
                         .spawn_scoped(s, move || {
-                            let mut proc = Proc::new(rank, size, shared);
-                            f(&mut proc)
+                            let proc = Proc::new(rank, size, shared.clone());
+                            let out = catch_unwind(AssertUnwindSafe(|| body(rank, proc)));
+                            if let Some(wait) = &shared.oracle {
+                                wait.notify();
+                            }
+                            out.unwrap_or_else(|payload| resume_unwind(payload))
                         })
                         .expect("spawn rank thread")
                 })
@@ -70,36 +178,36 @@ impl World {
             handles
                 .into_iter()
                 .enumerate()
-                .map(|(rank, h)| match h.join() {
-                    Ok(r) => r,
-                    Err(e) => {
-                        if let Some(death) = death_in_payload(&*e) {
-                            // The program let a scheduled fail-stop unwind
-                            // escape its closure; see [`crate::catch_death`].
-                            panic!(
-                                "rank {rank} fail-stopped at {:?} (uncaught — wrap the rank \
-                                 closure in simmpi::catch_death to observe deaths)",
-                                death.at
-                            );
-                        }
-                        let msg = e
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| e.downcast_ref::<&str>().copied())
-                            .unwrap_or("<non-string panic>");
-                        panic!("rank {rank} panicked: {msg}");
-                    }
-                })
+                .map(|(rank, h)| h.join().unwrap_or_else(|e| relabel_panic(rank, e)))
                 .collect()
         })
     }
+}
+
+/// Re-raise a rank's panic with the rank's ID in the message (both hosts).
+pub(crate) fn relabel_panic(rank: usize, e: Box<dyn Any + Send>) -> ! {
+    if let Some(death) = death_in_payload(&*e) {
+        // The program let a scheduled fail-stop unwind escape its closure;
+        // see [`crate::catch_death`].
+        panic!(
+            "rank {rank} fail-stopped at {:?} (uncaught — wrap the rank \
+             closure in simmpi::catch_death to observe deaths)",
+            death.at
+        );
+    }
+    let msg = e
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| e.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic>");
+    panic!("rank {rank} panicked: {msg}");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::p2p::{ANY_SOURCE, ANY_TAG};
-    use crate::ReduceOp;
+    use crate::{Poll, ReduceOp};
     use cluster_sim::node::Work;
     use cluster_sim::time::VirtualTime;
     use cluster_sim::{ClusterConfig, NodeSpec};
@@ -119,9 +227,9 @@ mod tests {
             let prev = (p.rank() + n - 1) % n;
             if p.rank() == 0 {
                 p.send(next, 1024, 7, 100);
-                p.recv(prev, 7).ready();
+                p.block_on(|p| p.recv(prev, 7));
             } else {
-                let got = p.recv(prev, 7).ready();
+                let got = p.block_on(|p| p.recv(prev, 7));
                 p.send(next, 1024, 7, got.value + 1);
             }
             p.now()
@@ -133,6 +241,27 @@ mod tests {
     }
 
     #[test]
+    fn parked_recv_finds_a_message_queued_before_its_last_wake() {
+        // Two ranks driven by hand on one thread, so the interleaving is
+        // exact: rank 0's message lands, then a barrier release wakes rank
+        // 1 — the last world change before rank 1 posts its receive.
+        // Parking must find the queued message instead of waiting for a
+        // change that already happened.
+        let shared = quiet_world(2).make_shared(true);
+        let mut p0 = Proc::new(0, 2, shared.clone());
+        let mut p1 = Proc::new(1, 2, shared);
+        p0.send(1, 8, 0, 7);
+        assert!(p1.barrier().is_pending());
+        assert!(p0.barrier().is_pending());
+        p0.park(); // completes the barrier and wakes the world
+        p1.park();
+        assert_eq!(p1.barrier(), Poll::Ready(()));
+        assert!(p1.recv(0, 0).is_pending());
+        p1.park();
+        assert_eq!(p1.recv(0, 0).map(|info| info.value), Poll::Ready(7));
+    }
+
+    #[test]
     fn values_flow_through_the_ring() {
         let w = quiet_world(3);
         let got = w.run(|p| {
@@ -141,9 +270,9 @@ mod tests {
             let prev = (p.rank() + n - 1) % n;
             if p.rank() == 0 {
                 p.send(next, 8, 0, 5);
-                p.recv(prev, 0).ready().value
+                p.block_on(|p| p.recv(prev, 0)).value
             } else {
-                let v = p.recv(prev, 0).ready().value;
+                let v = p.block_on(|p| p.recv(prev, 0)).value;
                 p.send(next, 8, 0, v * 2);
                 v
             }
@@ -157,7 +286,7 @@ mod tests {
         let finals = w.run(|p| {
             // Unequal work before the barrier.
             p.compute(Work::cpu(1000 * (p.rank() as u64 + 1)), 0.0);
-            p.barrier().ready();
+            p.block_on(|p| p.barrier());
             p.now()
         });
         assert!(finals.iter().all(|t| *t == finals[0]));
@@ -166,7 +295,7 @@ mod tests {
     #[test]
     fn allreduce_results_agree() {
         let w = quiet_world(5);
-        let sums = w.run(|p| p.allreduce(8, p.rank() as i64, ReduceOp::Sum).ready());
+        let sums = w.run(|p| p.block_on(|p| p.allreduce(8, p.rank() as i64, ReduceOp::Sum)));
         assert_eq!(sums, vec![10; 5]);
     }
 
@@ -177,7 +306,7 @@ mod tests {
             w.run(|p| {
                 for _ in 0..20 {
                     p.compute(Work::cpu(500), 0.0);
-                    p.alltoall(256).ready();
+                    p.block_on(|p| p.alltoall(256));
                 }
                 p.now()
             })
@@ -192,7 +321,7 @@ mod tests {
             if p.rank() == 0 {
                 let mut total = 0;
                 for _ in 0..3 {
-                    total += p.recv(ANY_SOURCE, ANY_TAG).ready().value;
+                    total += p.block_on(|p| p.recv(ANY_SOURCE, ANY_TAG)).value;
                 }
                 total
             } else {
@@ -211,7 +340,7 @@ mod tests {
             if p.rank() == 0 {
                 p.send(1, 1 << 20, 0, 0);
             } else {
-                p.recv(0, 0).ready();
+                p.block_on(|p| p.recv(0, 0));
             }
             p.stats()
         });
@@ -247,7 +376,7 @@ mod tests {
                 p.send(1, 4096, 1, 0);
                 None
             } else {
-                Some(p.recv(0, 1).ready()) // receiver posts immediately
+                Some(p.block_on(|p| p.recv(0, 1))) // receiver posts immediately
             }
         });
         let info = infos[1].unwrap();
@@ -295,7 +424,7 @@ mod tests {
                 let out = crate::catch_death(|| {
                     for _ in 0..10 {
                         p.compute(Work::cpu(10_000), 0.0);
-                        p.barrier().ready();
+                        p.block_on(|p| p.barrier());
                     }
                 });
                 (out.err(), p.now(), p.stats())
@@ -332,7 +461,7 @@ mod tests {
                     p.compute(Work::cpu(10_000), 0.0);
                     None
                 } else {
-                    let info = p.recv(0, 7).ready();
+                    let info = p.block_on(|p| p.recv(0, 7));
                     Some((info, p.stats()))
                 }
             })
@@ -363,7 +492,7 @@ mod tests {
                     p.compute(Work::cpu(1_000_000), 0.0);
                     0
                 } else {
-                    p.recv(0, 3).ready().value
+                    p.block_on(|p| p.recv(0, 3)).value
                 }
             })
         });

@@ -9,7 +9,8 @@
 //! finish." The streaming engine runs detection passes *while* telemetry
 //! arrives, so a monitor thread can drain live [`VarianceAlert`]s and take
 //! interim results while the ranks are still running — this example
-//! launches the run on a worker thread and polls the server, printing each
+//! launches the run on a worker thread (the event scheduler hosts every
+//! rank there) and polls the server from the main thread, printing each
 //! alert the moment the detection stream emits it.
 //!
 //! [`VarianceAlert`]: vsensor_repro::runtime::VarianceAlert
@@ -17,8 +18,8 @@
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 use vsensor_repro::cluster_sim::{SlowdownWindow, VirtualTime};
-use vsensor_repro::runtime::record::SensorInfo;
-use vsensor_repro::runtime::{AnalysisServer, RuntimeConfig};
+use vsensor_repro::interp::RunConfig;
+use vsensor_repro::runtime::{AnalysisServer, DirectChannel};
 use vsensor_repro::{scenarios, Pipeline};
 
 fn main() {
@@ -28,10 +29,15 @@ fn main() {
     let prepared = Pipeline::new().prepare(app.compile());
 
     // Build the server ourselves so we can hold a handle while the run is
-    // in flight (the Prepared::run convenience owns it otherwise).
-    let sensors: Vec<SensorInfo> = prepared.sensors.clone();
-    let config = RuntimeConfig::default();
-    let server = Arc::new(AnalysisServer::new(ranks, sensors.clone(), config.clone()));
+    // in flight (the Prepared::run convenience owns it otherwise), and
+    // route the run's telemetry into it.
+    let config = RunConfig::default();
+    let server = Arc::new(AnalysisServer::new(
+        ranks,
+        prepared.sensors.clone(),
+        config.runtime.clone(),
+    ));
+    let sink = Arc::new(DirectChannel::new(server.clone()));
 
     // A noiser window in the middle of the run.
     let cluster = Arc::new(
@@ -46,30 +52,16 @@ fn main() {
             .build(),
     );
 
-    let program = Arc::new(prepared.analysis.instrumented.program.clone());
-    let monitor_server = server.clone();
-    let run_config = config.clone();
-    let worker = std::thread::spawn(move || {
-        let world = vsensor_repro::simmpi::World::new(cluster);
-        world.run(|proc| {
-            let harness = vsensor_repro::interp::machine::SensorHarness::direct(
-                vsensor_repro::runtime::SensorRuntime::new(sensors.len(), run_config.clone()),
-                proc.rank(),
-                server.clone(),
-            );
-            vsensor_repro::interp::Machine::new(program.clone(), proc, Some(harness))
-                .run()
-                .unwrap_or_else(|e| panic!("{e}"))
-                .end
-        })
-    });
+    // The run itself — the event scheduler hosting every rank on the
+    // bytecode VM — goes to a worker thread.
+    let worker = std::thread::spawn(move || prepared.run_sink(cluster, &config, sink));
 
     // Poll the server while the run progresses: live alerts come from the
     // detection stream; interim results show the matrices refining.
     loop {
         std::thread::sleep(StdDuration::from_millis(50));
-        for alert in monitor_server.poll_events() {
-            let interim = monitor_server.interim(VirtualTime::from_secs(3600));
+        for alert in server.poll_events() {
+            let interim = server.interim(VirtualTime::from_secs(3600));
             println!(
                 "[live] alert after {} records received: {alert}",
                 interim.records
@@ -79,16 +71,20 @@ fn main() {
             break;
         }
     }
-    let ends = worker.join().expect("run completes");
-    let run_end = ends.into_iter().max().unwrap();
-    // Closing the session yields the authoritative end-of-run result.
-    let fin = monitor_server.session().close(run_end);
+    let run = worker.join().expect("run completes");
+    // Alerts the run drained itself after the monitor's last poll.
+    for alert in &run.alerts {
+        println!("[live] alert at run end: {alert}");
+    }
+    // The run closed the session: its result is the authoritative
+    // end-of-run view.
     println!(
-        "\nrun finished at {run_end}; final report: {} event(s), {:.2} MB received",
-        fin.events.len(),
-        fin.bytes_received as f64 / 1e6
+        "\nrun finished at {}; final report: {} event(s), {:.2} MB received",
+        VirtualTime::ZERO + run.run_time,
+        run.server.events.len(),
+        run.server.bytes_received as f64 / 1e6
     );
-    for e in &fin.events {
+    for e in &run.server.events {
         println!("  {e}");
     }
 }

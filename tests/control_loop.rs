@@ -16,11 +16,11 @@
 //! 5. A server that crashes mid-run and recovers from its WAL resumes
 //!    the identical epoch schedule, bitwise.
 //!
-//! All tests pin `SimBackend::event()`: control decisions happen inside
-//! serialized detection passes, but *which* arrival crosses the schedule
-//! first is an interleaving question on the thread-per-rank backend; the
-//! event scheduler resumes ranks in deterministic `(instant, rank)`
-//! order, making the whole loop a pure function of the seed.
+//! All tests run on the event scheduler (the only production host):
+//! control decisions happen inside serialized detection passes, and the
+//! scheduler resumes ranks in deterministic `(instant, rank)` order, so
+//! *which* arrival crosses the schedule first — and with it the whole
+//! loop — is a pure function of the seed.
 
 use std::sync::{Arc, OnceLock};
 use vsensor_bench::failstop::first_mismatch;
@@ -28,7 +28,6 @@ use vsensor_repro::cluster_sim::{ClusterConfig, FaultPlan, VirtualTime};
 use vsensor_repro::interp::{InstrumentedRun, RunConfig};
 use vsensor_repro::runtime::record::SensorKind;
 use vsensor_repro::runtime::{AlertKind, RuntimeConfig};
-use vsensor_repro::simmpi::SimBackend;
 use vsensor_repro::{scenarios, Pipeline, Prepared};
 
 /// The bad-node workload with a deliberately hot, cheap compute sensor:
@@ -97,7 +96,6 @@ fn solo_prepared() -> &'static Prepared {
 fn run(prepared: &Prepared, cluster: ClusterConfig, runtime: RuntimeConfig) -> InstrumentedRun {
     let config = RunConfig {
         runtime,
-        sim: SimBackend::event(),
         ..Default::default()
     };
     prepared.run(

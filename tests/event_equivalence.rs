@@ -1,12 +1,12 @@
 //! Differential equivalence suite: the event-driven virtual-time scheduler
-//! (`SimBackend::Event`) must be *bit-identical* to the thread-per-rank
-//! backend (`SimBackend::Threads`) on every observable output.
+//! (the production host) must be *bit-identical* to the thread-per-rank
+//! oracle host (`Prepared::run_oracle`) on every observable output.
 //!
-//! Both backends share the same completion math — the poll paths inside
-//! `simmpi` call the exact same locked helpers as the blocking paths — so
-//! any divergence in final virtual times, `ProcStats`, sensor record
-//! streams, server matrices or the rendered report text is a scheduler
-//! bug, not tolerable drift. Fault scenarios (rank/node fail-stop,
+//! Both hosts drive the same poll API and share all completion math inside
+//! `simmpi` — the oracle's parked ranks run the same completion checks the
+//! scheduler's control plane runs — so any divergence in final virtual
+//! times, `ProcStats`, sensor record streams, server matrices or the
+//! rendered report text is a scheduler bug, not tolerable drift. Fault scenarios (rank/node fail-stop,
 //! degraded transport, outage windows) are first-class here: death
 //! detection and degraded receives are exactly the paths the scheduler
 //! redesigns.
@@ -15,27 +15,41 @@ use std::sync::Arc;
 use vsensor_bench::failstop::first_mismatch;
 use vsensor_repro::cluster_sim::time::VirtualTime;
 use vsensor_repro::cluster_sim::{Cluster, ClusterConfig, FaultPlan, NoiseConfig};
-use vsensor_repro::interp::{run_plain_shared, ExecBackend, InstrumentedRun, RunConfig};
+use vsensor_repro::interp::{
+    run_plain_oracle, run_plain_shared, ExecBackend, InstrumentedRun, RunConfig,
+};
 use vsensor_repro::runtime::RuntimeConfig;
 use vsensor_repro::simmpi::SimBackend;
 use vsensor_repro::{scenarios, Pipeline};
 
-/// Run one program under a given simulation backend on a fresh cluster
-/// built from the same configuration (clusters hold per-run RNG state, so
-/// each run gets its own identical instance).
+/// Which host runs the ranks.
+#[derive(Clone, Copy)]
+enum Host {
+    /// One OS thread per rank.
+    Oracle,
+    /// The event scheduler.
+    Event,
+}
+
+/// Run one program on a given host on a fresh cluster built from the same
+/// configuration (clusters hold per-run RNG state, so each run gets its
+/// own identical instance).
 fn run_sim(
     src: &str,
     make_cluster: &dyn Fn() -> Cluster,
     runtime: RuntimeConfig,
-    sim: SimBackend,
+    host: Host,
 ) -> InstrumentedRun {
     let prepared = Pipeline::new().compile(src).expect("program compiles");
     let config = RunConfig {
         runtime,
-        sim,
         ..RunConfig::default()
     };
-    prepared.run(Arc::new(make_cluster()), &config)
+    let cluster = Arc::new(make_cluster());
+    match host {
+        Host::Oracle => prepared.run_oracle(cluster, &config),
+        Host::Event => prepared.run(cluster, &config),
+    }
 }
 
 /// Assert every observable output of two instrumented runs is identical,
@@ -56,12 +70,14 @@ fn assert_runs_identical(threads: &InstrumentedRun, event: &InstrumentedRun) {
 }
 
 /// Like [`assert_runs_identical`] but without the live-alert stream and the
-/// rendered report (which embeds it). Mid-run streaming alerts depend on
-/// which batches have *arrived* when a detection pass fires, and a pass
-/// fires on the first ingest that crosses the schedule — an
-/// ingest-interleaving artifact, not part of the simulation's virtual-time
-/// semantics. Fail-stop scenarios perturb that interleaving (survivor
-/// flushes race the death gossip), so there the streams may name different
+/// rendered report (which embeds it). On the oracle host, ranks ingest
+/// concurrently from their own threads, so which batches have *arrived*
+/// when a detection pass fires — and a pass fires on the first ingest that
+/// crosses the schedule — depends on host-thread interleaving, not on the
+/// simulation's virtual-time semantics. (The event scheduler ingests in a
+/// fixed order, so its alerts are a pure function of the input.)
+/// Fail-stop scenarios perturb that interleaving (survivor flushes race
+/// the death gossip), so there the oracle's stream may name different
 /// provisional events even though the final matrices, detected events,
 /// failed ranks and volume counters — everything `first_mismatch` checks —
 /// stay bitwise identical.
@@ -100,8 +116,8 @@ fn assert_final_state_identical(threads: &InstrumentedRun, event: &InstrumentedR
 }
 
 fn assert_equivalent_with(src: &str, make_cluster: &dyn Fn() -> Cluster, runtime: RuntimeConfig) {
-    let threads = run_sim(src, make_cluster, runtime.clone(), SimBackend::Threads);
-    let event = run_sim(src, make_cluster, runtime, SimBackend::event());
+    let threads = run_sim(src, make_cluster, runtime.clone(), Host::Oracle);
+    let event = run_sim(src, make_cluster, runtime, Host::Event);
     assert_runs_identical(&threads, &event);
 }
 
@@ -168,7 +184,7 @@ fn bad_node_detection_matches_bitwise() {
 
 /// Rank/node fail-stop: survivors shrink collectives, receives from the
 /// dead node degrade, and survivor gossip reports the deaths — all at the
-/// exact same virtual instants on both backends.
+/// exact same virtual instants on both hosts.
 #[test]
 fn node_death_matches_bitwise() {
     let (cluster, runtime) = scenarios::node_death(16, 4, 0.55, 7, 2);
@@ -176,13 +192,13 @@ fn node_death_matches_bitwise() {
         BAD_NODE_SRC,
         &|| cluster.clone().with_ranks_per_node(2).build(),
         runtime.clone(),
-        SimBackend::Threads,
+        Host::Oracle,
     );
     let event = run_sim(
         BAD_NODE_SRC,
         &|| cluster.clone().with_ranks_per_node(2).build(),
         runtime,
-        SimBackend::event(),
+        Host::Event,
     );
     assert_final_state_identical(&threads, &event);
     // Both streams must still report the same deaths, whatever variance
@@ -204,7 +220,7 @@ fn node_death_matches_bitwise() {
 
 /// Degraded (lossy) telemetry transport: batches drop, retry and reorder
 /// by virtual send time; identity proves the scheduler runs every flush at
-/// the same virtual instant as the parked threads did.
+/// the same virtual instant as the parked oracle threads do.
 #[test]
 fn degraded_transport_matches_bitwise() {
     assert_equivalent(MIXED_WORKLOAD, &|| {
@@ -231,17 +247,16 @@ fn outage_window_matches_bitwise() {
 #[test]
 fn plain_runs_match_at_64_ranks() {
     let program = Arc::new(vsensor_repro::lang::compile(MIXED_WORKLOAD).expect("program compiles"));
-    let threads = run_plain_shared(
+    let threads = run_plain_oracle(
         program.clone(),
         Arc::new(ClusterConfig::quiet(64).build()),
         ExecBackend::Vm,
-        SimBackend::Threads,
     );
     let event = run_plain_shared(
         program,
         Arc::new(ClusterConfig::quiet(64).build()),
         ExecBackend::Vm,
-        SimBackend::event(),
+        SimBackend::default(),
     );
     assert_eq!(threads.len(), event.len());
     for (i, (t, e)) in threads.iter().zip(event.iter()).enumerate() {
@@ -251,7 +266,7 @@ fn plain_runs_match_at_64_ranks() {
 }
 
 /// Paper-scale smoke test: 4,096 ranks in one process on the event
-/// backend — far past what thread-per-rank can host — finishing a
+/// scheduler — far past what thread-per-rank can host — finishing a
 /// collective workload with all ranks aligned.
 #[test]
 fn event_backend_runs_4096_ranks() {
@@ -273,7 +288,7 @@ fn event_backend_runs_4096_ranks() {
         program,
         Arc::new(ClusterConfig::quiet(4096).build()),
         ExecBackend::Vm,
-        SimBackend::event(),
+        SimBackend::default(),
     );
     assert_eq!(results.len(), 4096);
     let end = results[0].end;

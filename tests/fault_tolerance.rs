@@ -10,6 +10,7 @@ use std::sync::Arc;
 use vsensor_repro::cluster_sim::{Duration, FaultConfig, FaultPlan, VirtualTime};
 use vsensor_repro::interp::RunConfig;
 use vsensor_repro::runtime::record::SensorKind;
+use vsensor_repro::runtime::RuntimeConfig;
 use vsensor_repro::{scenarios, Pipeline};
 
 /// The Figure 21 bad-node workload: memory-bound iterations with a barrier,
@@ -210,4 +211,33 @@ fn faulty_runs_are_deterministic() {
         b.report.delivery.iter().map(|d| d.gaps).collect::<Vec<_>>()
     );
     assert_eq!(a.server.records, b.server.records);
+}
+
+/// Ranks that finish normally are never declared dead. The `repro trace`
+/// scenario: one rank's final batch is dropped and its retry arrives long
+/// after every other rank's final flush. On the arrival clock the other
+/// ranks look silent for more than the liveness horizon; on the senders'
+/// clock they are not.
+#[test]
+fn a_late_retry_does_not_declare_finished_ranks_dead() {
+    let app =
+        vsensor_repro::apps::cg::generate(vsensor_repro::apps::Params::test().with_iters(200));
+    let prepared = Pipeline::new().prepare(app.compile());
+    let cluster = scenarios::degraded_transport(4, 1, 0.55, 0.15, 0x7ace)
+        .with_ranks_per_node(2)
+        .build();
+    let config = RunConfig {
+        runtime: RuntimeConfig::default()
+            .with_detect_interval(Duration::from_millis(2))
+            .expect("interval is positive"),
+        ..RunConfig::default()
+    };
+    let run = prepared.run(Arc::new(cluster), &config);
+    assert!(run.report.transport.retries > 0, "the late retry happened");
+    assert_eq!(run.report.transport.records_dropped, 0);
+    assert!(
+        run.report.failed_ranks.is_empty(),
+        "no rank died, yet: {:?}",
+        run.report.failed_ranks
+    );
 }

@@ -147,7 +147,7 @@ proptest! {
         let values = Arc::new(values);
         let expected: i64 = values.iter().sum();
         let sums = World::new(cluster).run(|p| {
-            p.allreduce(8, values[p.rank()], ReduceOp::Sum).ready()
+            p.block_on(|p| p.allreduce(8, values[p.rank()], ReduceOp::Sum))
         });
         prop_assert!(sums.iter().all(|&s| s == expected));
     }
@@ -163,7 +163,7 @@ proptest! {
             World::new(cluster).run(|p| {
                 for i in 0..20 {
                     p.compute(Work::cpu(500 + i * 37), 0.0);
-                    p.barrier().ready();
+                    p.block_on(|p| p.barrier());
                 }
                 p.now()
             })

@@ -8,17 +8,21 @@
 //! compiler bug, not tolerable drift. Random programs come from an
 //! extended `arb_program` that exercises calls, recursion, arrays,
 //! `while`/`break`/`continue` and every sensor-relevant builtin class.
+//!
+//! Both executors run on the thread-per-rank oracle host — the only host
+//! the tree-walker runs on — so the comparison isolates the executors.
+//! `event_equivalence` ties the oracle-hosted VM to the event scheduler.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use vsensor_repro::cluster_sim::time::VirtualTime;
 use vsensor_repro::cluster_sim::{Cluster, ClusterConfig, FaultPlan, NoiseConfig};
-use vsensor_repro::interp::{run_plain_shared, ExecBackend, InstrumentedRun, RunConfig};
+use vsensor_repro::interp::{run_plain_oracle, ExecBackend, InstrumentedRun, RunConfig};
 use vsensor_repro::Pipeline;
 
-/// Run one prepared program under a given backend on a fresh cluster
-/// built from the same configuration (clusters hold per-run RNG state,
-/// so each run gets its own identical instance).
+/// Run one prepared program under a given executor on the oracle host, on
+/// a fresh cluster built from the same configuration (clusters hold
+/// per-run RNG state, so each run gets its own identical instance).
 fn run_backend(
     src: &str,
     make_cluster: &dyn Fn() -> Cluster,
@@ -29,7 +33,7 @@ fn run_backend(
         backend,
         ..RunConfig::default()
     };
-    prepared.run(Arc::new(make_cluster()), &config)
+    prepared.run_oracle(Arc::new(make_cluster()), &config)
 }
 
 /// Assert every observable output of two instrumented runs is identical,
@@ -172,17 +176,15 @@ proptest! {
     #[test]
     fn random_programs_match_plain(src in arb_program()) {
         let program = Arc::new(vsensor_repro::lang::compile(&src).unwrap());
-        let walker = run_plain_shared(
+        let walker = run_plain_oracle(
             program.clone(),
             Arc::new(ClusterConfig::quiet(2).build()),
             ExecBackend::TreeWalker,
-            Default::default(),
         );
-        let vm = run_plain_shared(
+        let vm = run_plain_oracle(
             program,
             Arc::new(ClusterConfig::quiet(2).build()),
             ExecBackend::Vm,
-            Default::default(),
         );
         prop_assert_eq!(walker.len(), vm.len());
         for (w, v) in walker.iter().zip(vm.iter()) {
