@@ -3,49 +3,51 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--smoke] [--out DIR] [--ranks N] [--check [--ratio-only]] [--profile] [experiment...]
-//! repro gate [--stats] [--ratio-only] [--history PATH] [--allow-new-cells]
+//! repro [--smoke] [--out DIR] [--ranks N] [--profile] [experiment...]
+//! repro [--check [--ratio-only] [--stats] [--history PATH]] [experiment...]
+//! repro gate [--ratio-only] [--stats] [--history PATH]
 //! repro --list
 //! ```
 //!
 //! With no experiment names, runs everything. `--smoke` uses the reduced
 //! scale (what the unit tests run); the default is the full reproduction
 //! scale (use a release build). `--out DIR` additionally writes plottable
-//! artifacts — SVG/PPM heatmaps and CSV series — into `DIR`. `--ranks N`
-//! overrides the rank count for the experiments that accept one: `table1`
-//! builds the table at N ranks on the event scheduler (`--ranks 16384`
+//! artifacts — SVG/PPM heatmaps and CSV series — into `DIR`, plus one
+//! `<suite>.cells.jsonl` per gated study (`interp`, `service`, `simmpi`,
+//! `control`); nothing is written anywhere else. `--ranks N` overrides
+//! the rank count for the experiments that accept one: `table1` builds
+//! the table at N ranks on the event scheduler (`--ranks 16384`
 //! reproduces the paper's process count), and `simmpi` measures the
-//! scaling curve at N ranks only. `--check` turns the `interp`, `service`
-//! and `simmpi` experiments into the CI perf-regression gate: a reduced
-//! paper-scale measurement is compared against the committed
-//! `BENCH_*.json` and the process exits nonzero on regression.
-//! `--ratio-only` restricts the gates to machine-independent checks
-//! (same-machine ratios and virtual-time figures), dropping absolute
-//! wall-clock comparisons — required on hardware that is not comparable
-//! to the baseline machine (shared CI runners).
+//! scaling curve at N ranks only.
 //!
-//! `repro gate` (explicit-only, like `failover`) runs the perf gates and
-//! the control-plane study in
-//! one invocation and **appends** the fresh measurements to the history
-//! file (`BENCH_history.jsonl`, override with `--history PATH`) — even
-//! when a gate fails, so the change-point analysis can see the failing
-//! regime form. `--stats` makes every gate variance-aware: once a cell
-//! has 5 recorded runs, the verdict comes from the recorded history
-//! (latest change-point regime median ± `max(3·MAD, floor)`) instead of
-//! the fixed 25 % band; shallower cells keep the fixed band. `--stats`
-//! also works with the individual `interp`/`service`/`simmpi --check`
-//! gates (read-only — only `gate` appends). `--allow-new-cells` accepts
-//! measured cells that are missing from the committed baseline (the
-//! intended flag when regenerating a baseline that grew a cell);
-//! without it, a new unmeasured cell fails the gate hard.
+//! `--check` turns the four gated studies into the CI perf-regression
+//! gate: each measures at paper scale, reports its cells, and the cells
+//! are judged against the committed `BENCH_baseline.jsonl`; the process
+//! exits nonzero when any judged study regressed. `--ratio-only` judges
+//! only machine-independent cells (same-machine ratios, virtual-time
+//! figures, correctness bits) — required on hardware that is not
+//! comparable to the baseline machine (shared CI runners). `--stats`
+//! makes the verdict variance-aware: once a cell has 5 recorded runs in
+//! the history (`--history PATH`, else the committed
+//! `BENCH_history.jsonl`), it is judged against the latest change-point
+//! regime's median ± `max(3·MAD, floor)` instead of the fixed 25 % band.
+//! The fresh cells are appended to `--history PATH` when one is named —
+//! even when a gate fails, so the change-point analysis can see the
+//! failing regime form — and never to a file that was not named. `gate`
+//! is the name that selects all four studies with `--check`.
 //!
-//! `repro simmpi --profile`
-//! prints the event scheduler's per-phase wall breakdown (due-set
-//! selection and heap ops, task execution, effect commit, collective
-//! completion) for one run at `--ranks` (default 4,096).
+//! Refreshing the baseline is an explicit step: run the studies without
+//! `--check` at paper scale with `--out DIR`, then concatenate the
+//! `DIR/*.cells.jsonl` files into `BENCH_baseline.jsonl`.
+//!
+//! `repro simmpi --profile` prints the event scheduler's per-phase wall
+//! breakdown (due-set selection and heap ops, task execution, effect
+//! commit, collective completion) for one run at `--ranks` (default
+//! 4,096).
 
 use cluster_sim::time::Duration;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use vsensor_bench::perf_gate::{self, Cell, GateReport, HistoryCell};
 use vsensor_bench::*;
 use vsensor_runtime::record::SensorKind;
 use vsensor_viz::{render_ppm, render_svg, HeatmapOptions};
@@ -68,7 +70,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("ablations", "Design-choice ablation sweeps"),
     (
         "interp",
-        "Interpreter backend speed: tree-walker vs bytecode VM (BENCH_interp.json)",
+        "Interpreter backend speed: tree-walker vs bytecode VM",
     ),
     (
         "trace",
@@ -80,23 +82,20 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "service",
-        "Multi-tenant service: fairness, isolation, failover (BENCH_service.json)",
+        "Multi-tenant service: fairness, isolation, failover",
     ),
     (
         "failover",
         "Multi-tenant failover smoke: standby promotion must be bitwise-identical",
     ),
-    (
-        "simmpi",
-        "Event-backend rank-scaling curve to 16,384 ranks (BENCH_simmpi.json)",
-    ),
+    ("simmpi", "Event-backend rank-scaling curve to 16,384 ranks"),
     (
         "control",
         "Control plane: overhead budget, alert escalation, lossy-channel determinism",
     ),
     (
         "gate",
-        "All perf gates + control study + history accumulation (BENCH_history.jsonl)",
+        "The four gated studies with --check, judged against BENCH_baseline.jsonl",
     ),
 ];
 
@@ -113,11 +112,9 @@ fn main() {
     } else {
         Effort::Paper
     };
-    let check = args.iter().any(|a| a == "--check");
     let ratio_only = args.iter().any(|a| a == "--ratio-only");
     let profile = args.iter().any(|a| a == "--profile");
     let stats = args.iter().any(|a| a == "--stats");
-    let allow_new_cells = args.iter().any(|a| a == "--allow-new-cells");
     let history_arg: Option<&String> = args
         .iter()
         .position(|a| a == "--history")
@@ -150,7 +147,11 @@ fn main() {
         .map(String::as_str)
         .collect();
     let run_all = selected.is_empty();
-    let want = |name: &str| run_all || selected.contains(&name);
+    // `gate` is only a name for the four gated studies under `--check`.
+    let gate_all = selected.contains(&"gate");
+    let check = gate_all || args.iter().any(|a| a == "--check");
+    let want =
+        |name: &str| run_all || selected.contains(&name) || (gate_all && GATED.contains(&name));
 
     let mut unknown: Vec<&str> = selected
         .iter()
@@ -163,7 +164,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let gate_ctx = GateCtx::load(stats, allow_new_cells, history_arg);
+    let mut gate = check.then(|| Gate::load(ratio_only, stats, history_arg));
 
     println!("vSensor reproduction harness — effort: {:?}\n", effort);
 
@@ -279,24 +280,16 @@ fn main() {
     }
     if want("interp") {
         section("interp");
-        if check {
-            if !run_perf_gate(!ratio_only, &gate_ctx).passed() {
-                std::process::exit(1);
-            }
+        // The gate re-measures the two cheapest rank counts of the
+        // committed paper-scale sweep; the 64-rank cells are reported as
+        // skipped, not failed.
+        let r = if check {
+            interp_speed::run_with_ranks(Effort::Paper, &[4, 16])
         } else {
-            let r = interp_speed::run(effort);
-            println!("{}", r.render());
-            // The perf trajectory is always recorded: into --out when given,
-            // next to the invocation otherwise.
-            let json = r.to_json();
-            match &out_dir {
-                Some(_) => write_artifact(&out_dir, "BENCH_interp.json", &json),
-                None => {
-                    std::fs::write("BENCH_interp.json", &json).expect("write BENCH_interp.json");
-                    println!("[wrote BENCH_interp.json]");
-                }
-            }
-        }
+            interp_speed::run(effort)
+        };
+        println!("{}", r.render());
+        measured(&mut gate, &out_dir, "interp", r.cells());
     }
     if want("trace") {
         section("trace");
@@ -316,23 +309,10 @@ fn main() {
     }
     if want("service") {
         section("service");
-        if check {
-            if !run_service_gate(!ratio_only, &gate_ctx).passed() {
-                std::process::exit(1);
-            }
-        } else {
-            let r = service_bench::run(effort);
-            println!("{}", r.render());
-            let json = r.to_json();
-            match &out_dir {
-                Some(_) => write_artifact(&out_dir, "BENCH_service.json", &json),
-                None => {
-                    std::fs::write("BENCH_service.json", &json).expect("write BENCH_service.json");
-                    println!("[wrote BENCH_service.json]");
-                }
-            }
-            exit_unless_service_invariants(&r);
-        }
+        let r = service_bench::run(if check { Effort::Paper } else { effort });
+        println!("{}", r.render());
+        exit_unless_service_invariants(&r);
+        measured(&mut gate, &out_dir, "service", r.cells());
     }
     if want("simmpi") {
         section("simmpi");
@@ -346,31 +326,27 @@ fn main() {
                 Effort::Paper => 4096,
             });
             println!("{}", simmpi_scale::profile(ranks).render());
-        } else if check {
-            if !run_simmpi_gate(!ratio_only, &gate_ctx).passed() {
-                std::process::exit(1);
-            }
         } else {
-            let r = match ranks_override {
-                Some(ranks) => simmpi_scale::run_with_ranks(&[ranks]),
-                None => simmpi_scale::run(effort),
+            // The gate re-measures the whole committed curve, including
+            // the 16,384-rank point the event scheduler finishes in
+            // seconds.
+            let r = if check {
+                simmpi_scale::run(Effort::Paper)
+            } else if let Some(ranks) = ranks_override {
+                simmpi_scale::run_with_ranks(&[ranks])
+            } else {
+                simmpi_scale::run(effort)
             };
             println!("{}", r.render());
-            let json = r.to_json();
-            match &out_dir {
-                Some(_) => write_artifact(&out_dir, "BENCH_simmpi.json", &json),
-                None => {
-                    std::fs::write("BENCH_simmpi.json", &json).expect("write BENCH_simmpi.json");
-                    println!("[wrote BENCH_simmpi.json]");
-                }
-            }
+            measured(&mut gate, &out_dir, "simmpi", r.cells());
         }
     }
     if want("control") {
         section("control");
-        let r = control_bench::run(effort);
+        let r = control_bench::run(if check { Effort::Paper } else { effort });
         println!("{}", r.render());
         exit_unless_control_invariants(&r);
+        measured(&mut gate, &out_dir, "control", r.cells());
     }
     // `failover` is the CI smoke alias for the service study's failover
     // invariants — explicit-only so a bare `repro` does not run the
@@ -381,107 +357,107 @@ fn main() {
         println!("{}", r.render());
         exit_unless_service_invariants(&r);
     }
-    // `gate` runs all three perf gates and files the fresh measurements
-    // into the history — explicit-only for the same reason: it re-runs
-    // the interp sweep and the 16-tenant study at paper scale.
-    if selected.contains(&"gate") {
-        section("gate");
-        let interp = run_perf_gate(!ratio_only, &gate_ctx);
-        let service = run_service_gate(!ratio_only, &gate_ctx);
-        let simmpi = run_simmpi_gate(!ratio_only, &gate_ctx);
-        // The control-plane study has no committed baseline file — its
-        // figures are virtual-time deterministic, so the run history IS
-        // the baseline: the first runs seed it, `--stats` judges later
-        // runs against the recorded regime. Invariant violations fail
-        // hard regardless.
-        let control_run = control_bench::run(effort);
-        println!("{}", control_run.render());
-        exit_unless_control_invariants(&control_run);
-        let control = gate_ctx.finish(control_run.gate_report(), "control");
-        // Append before exiting, pass or fail: the change-point analysis
-        // needs to see a failing regime *form* across runs, and a torn
-        // append is tolerated by the valid-prefix parser anyway.
-        let run = perf_gate::next_history_run(&gate_ctx.history);
-        let mut lines = String::new();
-        for (suite, report) in [
-            ("interp", &interp),
-            ("service", &service),
-            ("simmpi", &simmpi),
-            ("control", &control),
-        ] {
-            lines.push_str(&perf_gate::history_lines(report, suite, run));
-        }
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&gate_ctx.history_path)
-            .and_then(|mut f| f.write_all(lines.as_bytes()))
+    if let Some(gate) = gate {
+        gate.finish();
+    }
+}
+
+/// The studies whose cells the perf gate judges.
+const GATED: [&str; 4] = ["interp", "service", "simmpi", "control"];
+
+/// The committed baseline and seed history, next to the workspace root.
+fn committed(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name)
+}
+
+/// File one study's cells: into `--out` when given, and before the
+/// gate when `--check` is on.
+fn measured(gate: &mut Option<Gate>, out_dir: &Option<PathBuf>, suite: &str, cells: Vec<Cell>) {
+    write_artifact(
+        out_dir,
+        &format!("{suite}.cells.jsonl"),
+        &perf_gate::jsonl(&cells, 0),
+    );
+    if let Some(gate) = gate {
+        gate.judge(cells);
+    }
+}
+
+/// The `--check` state: the committed baseline, the history `--stats`
+/// judges against, where to append, and the verdicts so far.
+struct Gate {
+    portable_only: bool,
+    stats: bool,
+    baseline: Vec<HistoryCell>,
+    history: Vec<HistoryCell>,
+    append_to: Option<PathBuf>,
+    reports: Vec<GateReport>,
+}
+
+impl Gate {
+    fn load(portable_only: bool, stats: bool, history_arg: Option<&String>) -> Self {
+        let path = committed("BENCH_baseline.jsonl");
+        let baseline = std::fs::read_to_string(&path)
+            .map(|text| perf_gate::parse_history(&text))
             .unwrap_or_else(|e| {
-                eprintln!(
-                    "gate: cannot append history to {}: {e}",
-                    gate_ctx.history_path.display()
-                );
+                eprintln!("perf gate: cannot read {}: {e}", path.display());
                 std::process::exit(2);
             });
-        println!(
-            "[appended run {run} to {}]",
-            gate_ctx.history_path.display()
-        );
-        if !(interp.passed() && service.passed() && simmpi.passed() && control.passed()) {
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Everything the gates need beyond the committed baseline files: the
-/// `--stats` / `--allow-new-cells` flags and the parsed run history.
-struct GateCtx {
-    stats: bool,
-    allow_new_cells: bool,
-    history_path: PathBuf,
-    history: Vec<perf_gate::HistoryCell>,
-}
-
-impl GateCtx {
-    fn load(stats: bool, allow_new_cells: bool, history_arg: Option<&String>) -> Self {
-        let history_path = match history_arg {
-            Some(p) => PathBuf::from(p),
-            None => {
-                // Next to the invocation first (repo root in CI), then
-                // relative to the crate — same search as the baselines.
-                let local = PathBuf::from("BENCH_history.jsonl");
-                let repo = PathBuf::from(concat!(
-                    env!("CARGO_MANIFEST_DIR"),
-                    "/../../BENCH_history.jsonl"
-                ));
-                if !local.exists() && repo.exists() {
-                    repo
-                } else {
-                    local
-                }
-            }
-        };
+        let append_to = history_arg.map(PathBuf::from);
         // A missing history file is an empty history, not an error: the
         // stats gate falls back to the fixed band until runs accumulate.
-        let text = std::fs::read_to_string(&history_path).unwrap_or_default();
-        GateCtx {
+        let history_path = append_to
+            .clone()
+            .unwrap_or_else(|| committed("BENCH_history.jsonl"));
+        let text = std::fs::read_to_string(history_path).unwrap_or_default();
+        Gate {
+            portable_only,
             stats,
-            allow_new_cells,
-            history_path,
+            baseline,
             history: perf_gate::parse_history(&text),
+            append_to,
+            reports: Vec::new(),
         }
     }
 
-    /// Apply the flags to a freshly compared report: new-cell policy
-    /// always, history verdicts when `--stats` is on.
-    fn finish(&self, mut report: perf_gate::GateReport, suite: &str) -> perf_gate::GateReport {
-        report.allow_new_cells = self.allow_new_cells;
+    fn judge(&mut self, cells: Vec<Cell>) {
+        let mut report = perf_gate::compare(&self.baseline, cells, self.portable_only);
         if self.stats {
-            perf_gate::apply_history(&mut report, suite, &self.history);
+            perf_gate::apply_history(&mut report, &self.history);
         }
         println!("{}", report.render());
-        report
+        self.reports.push(report);
+    }
+
+    /// Append the judged cells to the named history, pass or fail — the
+    /// change-point analysis needs to see a failing regime *form*, and a
+    /// torn append is tolerated by the valid-prefix parser — then exit
+    /// nonzero if any study regressed.
+    fn finish(self) {
+        if let Some(path) = &self.append_to {
+            let run = perf_gate::next_history_run(&self.history);
+            let lines: String = self
+                .reports
+                .iter()
+                .map(|r| perf_gate::history_lines(r, run))
+                .collect();
+            use std::io::Write as _;
+            std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .and_then(|mut f| f.write_all(lines.as_bytes()))
+                .unwrap_or_else(|e| {
+                    eprintln!("gate: cannot append history to {}: {e}", path.display());
+                    std::process::exit(2);
+                });
+            println!("[appended run {run} to {}]", path.display());
+        }
+        if !self.reports.iter().all(GateReport::passed) {
+            std::process::exit(1);
+        }
     }
 }
 
@@ -546,108 +522,6 @@ fn exit_unless_service_invariants(r: &service_bench::ServiceBenchResult) {
     if failed {
         std::process::exit(1);
     }
-}
-
-/// The `interp --check` path: a reduced paper-scale sweep compared
-/// against the committed baseline. The caller exits nonzero on a failed
-/// report so CI can gate on it. Always paper-parameter workloads — the
-/// committed baseline was measured at paper scale, so a smoke sweep
-/// would not be comparable. With `--ratio-only` (`absolute = false`)
-/// only the machine-independent walker→VM speedup ratio is gated — the
-/// right mode for shared CI runners, whose absolute speed is not
-/// comparable to the baseline machine's.
-fn run_perf_gate(absolute: bool, ctx: &GateCtx) -> perf_gate::GateReport {
-    let baseline_text = read_baseline().unwrap_or_else(|e| {
-        eprintln!("perf gate: cannot read BENCH_interp.json: {e}");
-        std::process::exit(2);
-    });
-    let baseline = perf_gate::parse_baseline(&baseline_text).unwrap_or_else(|e| {
-        eprintln!("perf gate: cannot parse BENCH_interp.json: {e}");
-        std::process::exit(2);
-    });
-    // Reduced sweep: the two cheapest rank counts of the committed
-    // trajectory. Cells the sweep skips (ranks=64) are reported, not
-    // failed.
-    let fresh = interp_speed::run_with_ranks(Effort::Paper, &[4, 16]);
-    ctx.finish(
-        perf_gate::compare(&baseline, &fresh, perf_gate::DEFAULT_TOLERANCE, absolute),
-        "interp",
-    )
-}
-
-/// The `service --check` path: the paper-scale 16-tenant study compared
-/// against the committed `BENCH_service.json`. The p99 ingest latencies
-/// are *virtual-time* figures — machine-independent, so they are gated
-/// even under `--ratio-only`; the wall-clock batches/sec throughput is
-/// only gated with `absolute`. Backpressure engagement on the hot tenant
-/// is a correctness bit and always gated.
-fn run_service_gate(absolute: bool, ctx: &GateCtx) -> perf_gate::GateReport {
-    let baseline_text = read_service_baseline().unwrap_or_else(|e| {
-        eprintln!("service gate: cannot read BENCH_service.json: {e}");
-        std::process::exit(2);
-    });
-    let baseline = perf_gate::parse_service_baseline(&baseline_text).unwrap_or_else(|e| {
-        eprintln!("service gate: cannot parse BENCH_service.json: {e}");
-        std::process::exit(2);
-    });
-    let fresh = service_bench::run(Effort::Paper);
-    exit_unless_service_invariants(&fresh);
-    ctx.finish(
-        perf_gate::compare_service(&baseline, &fresh, perf_gate::DEFAULT_TOLERANCE, absolute),
-        "service",
-    )
-}
-
-/// The `simmpi --check` path: re-measure the committed rank-scaling
-/// curve — including the 16,384-rank point, which the batched event
-/// scheduler finishes in seconds — and compare against
-/// `BENCH_simmpi.json`. Virtual-time throughput and *both* adjacent
-/// scaling-efficiency ratios (1,024→4,096 and 4,096→16,384) are gated in
-/// every mode, so a collapsing tail cannot hide behind a healthy head;
-/// absolute wall throughput only without `--ratio-only`.
-fn run_simmpi_gate(absolute: bool, ctx: &GateCtx) -> perf_gate::GateReport {
-    let baseline_text = read_simmpi_baseline().unwrap_or_else(|e| {
-        eprintln!("simmpi gate: cannot read BENCH_simmpi.json: {e}");
-        std::process::exit(2);
-    });
-    let baseline = perf_gate::parse_simmpi_baseline(&baseline_text).unwrap_or_else(|e| {
-        eprintln!("simmpi gate: cannot parse BENCH_simmpi.json: {e}");
-        std::process::exit(2);
-    });
-    let fresh = simmpi_scale::run_with_ranks(&[1024, 4096, 16384]);
-    ctx.finish(
-        perf_gate::compare_simmpi(&baseline, &fresh, perf_gate::DEFAULT_TOLERANCE, absolute),
-        "simmpi",
-    )
-}
-
-fn read_simmpi_baseline() -> std::io::Result<String> {
-    std::fs::read_to_string("BENCH_simmpi.json").or_else(|_| {
-        std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_simmpi.json"
-        ))
-    })
-}
-
-fn read_service_baseline() -> std::io::Result<String> {
-    std::fs::read_to_string("BENCH_service.json").or_else(|_| {
-        std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_service.json"
-        ))
-    })
-}
-
-fn read_baseline() -> std::io::Result<String> {
-    // Next to the invocation first (repo root in CI), then relative to
-    // the crate for `cargo run` from anywhere in the workspace.
-    std::fs::read_to_string("BENCH_interp.json").or_else(|_| {
-        std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_interp.json"
-        ))
-    })
 }
 
 fn write_artifact(out_dir: &Option<PathBuf>, name: &str, content: &str) {

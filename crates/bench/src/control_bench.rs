@@ -19,8 +19,8 @@
 //!
 //! The `repro control` experiment exits nonzero when any of these
 //! invariants fails, so CI can gate on it; its virtual-time measurements
-//! (cost fractions, epoch counts) are filed into `BENCH_history.jsonl`
-//! by `repro gate` for change-point tracking.
+//! (cost fractions, epoch counts) are the cells `repro control --check`
+//! judges.
 
 use std::fmt::Write;
 use std::sync::Arc;
@@ -31,7 +31,7 @@ use vsensor_runtime::record::SensorKind;
 use vsensor_runtime::{AlertKind, RuntimeConfig};
 
 use crate::failstop::first_mismatch;
-use crate::perf_gate::{GateCheck, GateReport, DEFAULT_TOLERANCE};
+use crate::perf_gate::{Cell, Worse};
 use crate::Effort;
 
 const RANKS_PER_NODE: usize = 2;
@@ -163,30 +163,21 @@ impl ControlBenchResult {
         out
     }
 
-    /// The study's virtual-time measurements as an already-passed gate
-    /// report, so `repro gate` can file them into the run history (and
-    /// `--stats` can judge them against the recorded regime). These are
-    /// deterministic figures: any drift is a simulation change.
-    pub fn gate_report(&self) -> GateReport {
-        let cell = |metric: &'static str, value: f64| GateCheck {
-            workload: "badnode".to_string(),
-            ranks: self.ranks,
-            metric,
-            baseline: value,
-            current: value,
-            ok: true,
-            stats: None,
-        };
-        GateReport {
-            checks: vec![
-                cell("reference-cost-fraction", self.reference_fraction),
-                cell("budgeted-cost-fraction", self.budgeted_fraction),
-                cell("control-epochs", self.budget_stats.epochs_issued as f64),
-                cell("escalated-ranks", self.escalated.len() as f64),
-            ],
-            tolerance: DEFAULT_TOLERANCE,
-            ..Default::default()
-        }
+    /// The gate's cells. All are virtual-time figures, deterministic and
+    /// portable: any drift is a simulation change.
+    pub fn cells(&self) -> Vec<Cell> {
+        [
+            ("reference-cost-fraction", self.reference_fraction),
+            ("budgeted-cost-fraction", self.budgeted_fraction),
+            ("control-epochs", self.budget_stats.epochs_issued as f64),
+            ("escalated-ranks", self.escalated.len() as f64),
+        ]
+        .into_iter()
+        .map(|(metric, value)| {
+            let key = format!("badnode/{}/{metric}", self.ranks);
+            Cell::virtual_time("control", key, value, Worse::Higher)
+        })
+        .collect()
     }
 }
 

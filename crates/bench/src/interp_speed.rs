@@ -5,9 +5,8 @@
 //! MiniHPC array loops rather than bulk builtins — under both execution
 //! backends across a rank sweep, and reports wall-clock nanoseconds per
 //! *simulated* second — the metric that decides how big a cluster the
-//! reproduction can afford to simulate. The `repro` binary serializes the
-//! rows to `BENCH_interp.json` so the perf trajectory is recorded
-//! machine-readably and future changes can diff against it.
+//! reproduction can afford to simulate. [`InterpSpeedResult::cells`] turns
+//! the sweep into the perf gate's cells (`repro interp --check`).
 
 use std::fmt::Write;
 use std::sync::Arc;
@@ -16,6 +15,7 @@ use vsensor::{scenarios, Pipeline, Prepared};
 use vsensor_apps::{cg, ft, Params};
 use vsensor_interp::{ExecBackend, RunConfig};
 
+use crate::perf_gate::{Cell, Worse};
 use crate::Effort;
 
 /// One measured (workload, backend, ranks) cell.
@@ -91,20 +91,25 @@ impl InterpSpeedResult {
         out
     }
 
-    /// Machine-readable rows for `BENCH_interp.json`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "  {{\"workload\": \"{}\", \"backend\": \"{}\", \"ranks\": {}, \
-                 \"wall_ns\": {}, \"simulated_secs\": {:.6}, \"wall_ns_per_sim_sec\": {:.1}}}",
-                r.workload, r.backend, r.ranks, r.wall_ns, r.simulated_secs, r.wall_ns_per_sim_sec,
-            );
-            out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
+    /// The gate's cells per (workload, ranks) measured under both
+    /// backends: the walker→VM speedup (a same-machine ratio, portable)
+    /// and the VM's wall nanoseconds per simulated second (absolute).
+    pub fn cells(&self) -> Vec<Cell> {
+        let mut cells = Vec::new();
+        for r in self.rows.iter().filter(|r| r.backend == "vm") {
+            let Some(speedup) = self.speedup(r.workload, r.ranks) else {
+                continue;
+            };
+            let key = |metric| format!("{}/{}/{metric}", r.workload, r.ranks);
+            cells.push(Cell::ratio("interp", key("vm-speedup"), speedup));
+            cells.push(Cell::wall(
+                "interp",
+                key("vm-throughput"),
+                r.wall_ns_per_sim_sec,
+                Worse::Higher,
+            ));
         }
-        out.push_str("]\n");
-        out
+        cells
     }
 }
 
@@ -206,14 +211,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_sweep_produces_rows_and_json() {
+    fn smoke_sweep_produces_rows_and_cells() {
         let r = run(Effort::Smoke);
         // 2 workloads × 2 rank counts × 2 backends.
         assert_eq!(r.rows.len(), 8);
-        assert!(r.speedup("cg-fig21", 4).is_some());
-        let json = r.to_json();
-        assert!(json.contains("\"backend\": \"vm\""));
-        assert!(json.contains("wall_ns_per_sim_sec"));
+        let cells = r.cells();
+        assert_eq!(cells.len(), 8, "speedup + throughput per (workload, ranks)");
+        assert_eq!(cells[0].key, "cg-fig21/4/vm-speedup");
+        assert_eq!(cells[0].value, r.speedup("cg-fig21", 4).unwrap());
+        assert_eq!(cells[1].key, "cg-fig21/4/vm-throughput");
         assert!(r.render().contains("speedup"));
         // Both backends simulated the same virtual time (bit-identity).
         for pair in r.rows.chunks(2) {

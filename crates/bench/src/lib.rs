@@ -3,8 +3,9 @@
 //!
 //! Each module reproduces one artifact and returns a structured result
 //! whose `Display`/`render` output mirrors the rows/series the paper
-//! reports. The `repro` binary drives them from the command line; the
-//! criterion benches in `benches/` time their kernels.
+//! reports. The `repro` binary drives them from the command line, and
+//! [`perf_gate`] judges the cells of the four gated studies against the
+//! committed `BENCH_baseline.jsonl`.
 //!
 //! | module | paper artifact |
 //! |--------|----------------|
@@ -20,12 +21,13 @@
 //! | [`datavolume`]       | §6.4 — trace volume vs vSensor data volume |
 //! | [`fwq_intrusiveness`]| §1's FWQ critique, quantified |
 //! | [`ablations`]        | design-choice sweeps called out in DESIGN.md |
-//! | [`interp_speed`]     | tree-walker vs bytecode-VM backend speed (`BENCH_interp.json`) |
+//! | [`interp_speed`]     | tree-walker vs bytecode-VM backend speed (gated) |
 //! | [`trace_run`]        | traced degraded-transport run → Chrome trace JSON |
-//! | [`perf_gate`]        | CI regression gate over `BENCH_interp.json` |
+//! | [`perf_gate`]        | the one cell schema and judge behind `repro --check` |
 //! | [`failstop`]         | node-death localization + WAL crash-recovery equivalence |
-//! | [`service_bench`]    | multi-tenant service: fairness, isolation, failover (`BENCH_service.json`) |
-//! | [`simmpi_scale`]     | event-backend rank-scaling curve to 16,384 ranks (`BENCH_simmpi.json`) |
+//! | [`service_bench`]    | multi-tenant service: fairness, isolation, failover (gated) |
+//! | [`simmpi_scale`]     | event-backend rank-scaling curve to 16,384 ranks (gated) |
+//! | [`control_bench`]    | closed control loop: budget, escalation, lossy channel (gated) |
 
 pub mod ablations;
 pub mod control_bench;

@@ -1,153 +1,326 @@
-//! CI perf-regression gate over the committed interpreter benchmark.
+//! The perf gate: one cell schema, one committed baseline, one judge.
 //!
-//! `repro interp --check` re-measures a reduced slice of the
-//! [`crate::interp_speed`] sweep and compares it against the committed
-//! `BENCH_interp.json` trajectory. Two regressions fail the gate, each
-//! with a generous noise tolerance (CI machines are not the baseline
-//! machine):
+//! Every gated study — [`crate::interp_speed`], [`crate::service_bench`],
+//! [`crate::simmpi_scale`] and [`crate::control_bench`] — reports its
+//! measurements as [`Cell`]s. A cell carries its own judging data: the
+//! direction that counts as a regression ([`Worse`]), the relative floor
+//! of the history verdict, and whether it is portable (machine-
+//! independent: virtual time, a same-machine ratio, or a correctness
+//! bit). Derived figures — the walker→VM speedup, the adjacent scaling
+//! ratios — are computed by the study that measured them, never by the
+//! gate.
 //!
-//! * **Speedup loss** — the walker→VM speedup for a (workload, ranks)
-//!   cell drops by more than the tolerance. The speedup is a same-machine
-//!   ratio, so it is robust to absolute machine speed.
-//! * **Absolute slowdown** — the VM backend's wall-ns-per-simulated-second
-//!   worsens by more than the tolerance versus the baseline. Opt-in
-//!   (`absolute = true`): it compares wall clocks across machines, which
-//!   is only meaningful when the run executes on hardware comparable to
-//!   the one that produced the baseline. CI runs on shared runners whose
-//!   absolute speed routinely differs from any baseline machine by more
-//!   than any sane tolerance, so CI gates on the ratio alone
-//!   (`--ratio-only`).
-//!
-//! Only (workload, ranks) cells present in **both** the baseline and the
-//! fresh measurement are compared; baseline-only cells are counted as
-//! skipped, never failed.
-//!
-//! The baseline parser is hand-rolled (the workspace has no JSON
-//! dependency) and accepts exactly the flat array-of-objects shape
-//! `InterpSpeedResult::to_json` emits.
-//!
-//! `repro service --check` gates the multi-tenant service the same way,
-//! over the committed `BENCH_service.json`: the per-tenant p99 ingest
-//! latencies are *virtual-time* quantities — deterministic and
-//! machine-independent, so they are gated even under `--ratio-only` —
-//! the hot tenant must still be the one engaging backpressure, and the
-//! absolute batches-per-wall-second throughput is gated only on
-//! comparable hardware (`absolute = true`).
-//!
-//! `repro simmpi --check` gates the event scheduler's rank-scaling curve
-//! over the committed `BENCH_simmpi.json`: the virtual-time throughput is
-//! deterministic (gated in every mode), the scaling-efficiency ratio
-//! between rank counts is same-machine (gated in every mode), and the
-//! absolute rank-iterations-per-wall-second is gated only with
-//! `absolute = true`.
+//! `repro <study> --check` compares fresh cells against the committed
+//! `BENCH_baseline.jsonl` with [`compare`]: a fixed
+//! [`TOLERANCE`] band in the worse direction, a must-be-positive
+//! cell failing at zero. `--ratio-only` judges only portable cells — CI
+//! runners' absolute speed is not comparable to any baseline machine.
+//! Baseline cells the fresh run did not measure are named and skipped,
+//! never failed (CI re-measures a reduced interp sweep); a fresh cell the
+//! baseline lacks fails hard, because nothing would gate it.
 //!
 //! # History mode (`--stats`)
 //!
-//! The fixed tolerance band is one-size-fits-all: 25 % is far too loose
-//! for a deterministic virtual-time figure (which should not move at
-//! all) and occasionally too tight for a wall-derived ratio on a noisy
-//! runner. `--stats` replaces it with the same statistics the runtime's
-//! cross-run baseline store uses ([`vsensor_runtime::stats`]): every
-//! gate run appends its fresh measurements to `BENCH_history.jsonl`
-//! (one flat JSON object per line, keyed by `workload/ranks/metric`),
-//! and once a cell has [`MIN_HISTORY_SAMPLES`] recorded runs the verdict
-//! becomes *variance-aware* — the history series is split at its most
-//! significant change-points (Welch-t scan, so a runner-hardware change
-//! mid-history starts a fresh regime instead of poisoning the median),
-//! and the current value must sit within `max(3·scaled-MAD,
-//! rel-floor·|median|)` of the latest regime's median in the worse
-//! direction. The relative floor is 1 % for virtual-time figures
-//! (deterministic by construction) and 10 % for wall-derived ones.
-//! Cells with shallower history keep the fixed-tolerance verdict — the
-//! fallback, not an error.
+//! The fixed band is one-size-fits-all: far too loose for a
+//! deterministic virtual-time figure, occasionally too tight for a
+//! wall-derived ratio on a noisy runner. `--stats` replaces it with the
+//! statistics the runtime's cross-run baseline store uses
+//! ([`vsensor_runtime::stats`]): once a cell has [`MIN_HISTORY_SAMPLES`]
+//! recorded runs, the history series is split at its most significant
+//! change-points (Welch-t scan, so a runner-hardware change mid-history
+//! starts a fresh regime instead of poisoning the median), and the
+//! current value must sit within `max(3·scaled-MAD, floor·|median|)` of
+//! the latest regime's median in the worse direction. Shallower cells
+//! keep the fixed-band verdict — the fallback, not an error.
 //!
-//! History parsing has the runtime WAL's valid-prefix semantics: the
-//! first malformed line (a torn tail from an interrupted append) drops
-//! itself and everything after it.
+//! The baseline and the history share one line shape, one flat JSON
+//! object per line (`{"run", "suite", "cell", "value"}`), and one parser
+//! with the runtime WAL's valid-prefix semantics: the first malformed
+//! line (a torn tail from an interrupted append) drops itself and
+//! everything after it.
 
 use std::fmt::Write;
 
 use vsensor_runtime::stats::{self, ShiftPolicy};
 
-use crate::interp_speed::InterpSpeedResult;
-use crate::service_bench::ServiceBenchResult;
-use crate::simmpi_scale::ScaleResult;
+/// The fixed noise band: a cell may move up to 25 % in its worse
+/// direction before the gate fails.
+pub const TOLERANCE: f64 = 0.25;
 
-#[cfg(test)]
-use crate::interp_speed::InterpRow;
+/// History floor for virtual-time cells: deterministic by construction,
+/// so drift there is a simulation change.
+const VIRTUAL_FLOOR: f64 = 0.01;
 
-/// Default noise tolerance: a cell may lose up to 25 % speedup or get up
-/// to 25 % slower before the gate fails.
-pub const DEFAULT_TOLERANCE: f64 = 0.25;
+/// History floor for wall-derived cells, which jitter with the machine.
+const WALL_FLOOR: f64 = 0.10;
 
-/// One baseline cell parsed from `BENCH_interp.json`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BaselineRow {
-    /// Workload name (`cg-fig21`, `ft-fig22`).
-    pub workload: String,
-    /// Backend name (`tree-walker`, `vm`).
-    pub backend: String,
-    /// Simulated ranks.
-    pub ranks: usize,
-    /// Wall-clock nanoseconds of the baseline measurement.
-    pub wall_ns: u64,
-    /// Baseline wall nanoseconds per simulated second.
-    pub wall_ns_per_sim_sec: f64,
+/// A cell needs this many recorded runs before the history verdict
+/// supersedes the fixed tolerance band — mirrors the runtime baseline
+/// store's `min_history`.
+pub const MIN_HISTORY_SAMPLES: usize = 5;
+
+/// Which change of a cell's value is a regression.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Worse {
+    /// Latencies, ns per unit of work, cost fractions.
+    Higher,
+    /// Speedups, throughputs, scaling ratios.
+    Lower,
+    /// A correctness bit: any value ≤ 0 fails, whatever the baseline
+    /// says. Never judged statistically and never recorded in the
+    /// history — it is not a distribution.
+    NonPositive,
 }
 
-/// Split a flat JSON array of objects into the raw text of each object.
-/// Tolerates arbitrary whitespace and key order; every baseline format in
-/// this module is an array of flat objects, so the splitter is shared.
-fn split_objects(json: &str) -> Result<Vec<&str>, String> {
-    let trimmed = json.trim();
-    if !trimmed.starts_with('[') || !trimmed.ends_with(']') {
-        return Err("baseline is not a JSON array".into());
-    }
-    let mut objects = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in trimmed.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth
-                    .checked_sub(1)
-                    .ok_or_else(|| "unbalanced braces in baseline".to_string())?;
-                if depth == 0 {
-                    objects.push(&trimmed[start..=i]);
-                }
-            }
-            _ => {}
+/// One gated measurement.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Cell {
+    /// Gate suite (`interp`, `service`, `simmpi`, `control`).
+    pub suite: &'static str,
+    /// `workload/ranks/metric`.
+    pub key: String,
+    /// The measured value.
+    pub value: f64,
+    /// Which direction is a regression.
+    pub worse: Worse,
+    /// Relative floor under the history verdict's `3·MAD` cut.
+    pub floor: f64,
+    /// Machine-independent, so gated under `--ratio-only`.
+    pub portable: bool,
+}
+
+impl Cell {
+    /// A virtual-time figure: deterministic, portable, tight floor.
+    pub fn virtual_time(suite: &'static str, key: String, value: f64, worse: Worse) -> Cell {
+        Cell {
+            suite,
+            key,
+            value,
+            worse,
+            floor: VIRTUAL_FLOOR,
+            portable: true,
         }
     }
-    if depth != 0 {
-        return Err("unterminated object in baseline".into());
+
+    /// A ratio of two wall clocks taken in the same run (speedup,
+    /// scaling efficiency): portable, and smaller is worse.
+    pub fn ratio(suite: &'static str, key: String, value: f64) -> Cell {
+        Cell {
+            suite,
+            key,
+            value,
+            worse: Worse::Lower,
+            floor: WALL_FLOOR,
+            portable: true,
+        }
     }
-    if objects.is_empty() {
-        return Err("baseline contains no rows".into());
+
+    /// An absolute wall-clock figure: comparable only on hardware like
+    /// the baseline machine's.
+    pub fn wall(suite: &'static str, key: String, value: f64, worse: Worse) -> Cell {
+        Cell {
+            suite,
+            key,
+            value,
+            worse,
+            floor: WALL_FLOOR,
+            portable: false,
+        }
     }
-    Ok(objects)
+
+    /// A count that must stay positive (backpressure still engages).
+    pub fn positive(suite: &'static str, key: String, value: f64) -> Cell {
+        Cell {
+            suite,
+            key,
+            value,
+            worse: Worse::NonPositive,
+            floor: 0.0,
+            portable: true,
+        }
+    }
+
+    /// The fixed-band verdict against a baseline value.
+    fn within_band(&self, baseline: f64) -> bool {
+        match self.worse {
+            Worse::Higher => self.value <= baseline * (1.0 + TOLERANCE),
+            Worse::Lower => self.value >= baseline * (1.0 - TOLERANCE),
+            Worse::NonPositive => self.value > 0.0,
+        }
+    }
 }
 
-/// Parse `BENCH_interp.json` (an array of flat objects). Rejects anything
-/// missing a required field.
-pub fn parse_baseline(json: &str) -> Result<Vec<BaselineRow>, String> {
-    split_objects(json)?.into_iter().map(parse_object).collect()
+/// The history-derived verdict attached to a check in `--stats` mode.
+#[derive(Clone, Debug)]
+pub struct StatsGate {
+    /// Recorded history samples for this cell (the current run excluded).
+    pub samples: usize,
+    /// Samples in the latest regime after change-point splitting.
+    pub regime_len: usize,
+    /// Median of the latest regime.
+    pub median: f64,
+    /// Allowed worse-direction deviation from that median.
+    pub allowed: f64,
 }
 
-fn parse_object(obj: &str) -> Result<BaselineRow, String> {
-    Ok(BaselineRow {
-        workload: str_field(obj, "workload")?,
-        backend: str_field(obj, "backend")?,
-        ranks: num_field(obj, "ranks")? as usize,
-        wall_ns: num_field(obj, "wall_ns")? as u64,
-        wall_ns_per_sim_sec: num_field(obj, "wall_ns_per_sim_sec")?,
-    })
+/// One fresh cell judged against its baseline.
+#[derive(Clone, Debug)]
+pub struct Check {
+    /// The fresh measurement.
+    pub cell: Cell,
+    /// The committed baseline value.
+    pub baseline: f64,
+    /// Whether the cell passed.
+    pub ok: bool,
+    /// The history verdict that superseded the fixed band, when deep
+    /// enough history was available ([`apply_history`]).
+    pub stats: Option<StatsGate>,
+}
+
+/// The gate's verdict over one study's cells.
+#[derive(Clone, Debug, Default)]
+pub struct GateReport {
+    /// All performed checks.
+    pub checks: Vec<Check>,
+    /// Baseline cells of the judged suites that the fresh run did not
+    /// measure — named, because a silent skip hides a gate that quietly
+    /// stopped measuring something.
+    pub skipped: Vec<String>,
+    /// Fresh cells the committed baseline lacks: nothing gates them, so
+    /// they fail the gate.
+    pub new_cells: Vec<String>,
+}
+
+impl GateReport {
+    /// True when every check passed, at least one ran (an empty
+    /// comparison is a gate misconfiguration, not a pass), and no cell
+    /// is new and ungated.
+    pub fn passed(&self) -> bool {
+        !self.checks.is_empty() && self.checks.iter().all(|c| c.ok) && self.new_cells.is_empty()
+    }
+
+    /// Render the verdict table.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "perf gate (tolerance {:.0}%): {} check(s), {} baseline cell(s) not re-measured",
+            TOLERANCE * 100.0,
+            self.checks.len(),
+            self.skipped.len(),
+        );
+        for c in &self.checks {
+            let _ = write!(
+                out,
+                "  [{}] {:<32} baseline {:>16.4} current {:>16.4} ({:+.1}%)",
+                if c.ok { "ok" } else { "FAIL" },
+                c.cell.key,
+                c.baseline,
+                c.cell.value,
+                (c.cell.value / c.baseline.max(1e-12) - 1.0) * 100.0,
+            );
+            match &c.stats {
+                Some(s) => {
+                    let _ = writeln!(
+                        out,
+                        " [history n={} regime {} median {:.2} allow ±{:.2}]",
+                        s.samples, s.regime_len, s.median, s.allowed,
+                    );
+                }
+                None => {
+                    let _ = writeln!(out, " [fixed tolerance]");
+                }
+            }
+        }
+        if !self.skipped.is_empty() {
+            let _ = writeln!(
+                out,
+                "  skipped baseline cell(s): {}",
+                self.skipped.join(", ")
+            );
+        }
+        for cell in &self.new_cells {
+            let _ = writeln!(
+                out,
+                "  [NEW ] {cell} — measured but absent from BENCH_baseline.jsonl; refresh it from `--out`"
+            );
+        }
+        let _ = writeln!(
+            out,
+            "perf gate: {}",
+            if self.passed() { "PASS" } else { "FAIL" }
+        );
+        out
+    }
+}
+
+/// Judge fresh cells against the committed baseline with the fixed
+/// band. With `portable_only` (`--ratio-only`) cells that compare wall
+/// clocks across machines are left out.
+pub fn compare(baseline: &[HistoryCell], fresh: Vec<Cell>, portable_only: bool) -> GateReport {
+    let mut report = GateReport::default();
+    for b in baseline {
+        let judged_suite = fresh.iter().any(|c| c.suite == b.suite);
+        if judged_suite && !fresh.iter().any(|c| c.suite == b.suite && c.key == b.cell) {
+            report.skipped.push(b.cell.clone());
+        }
+    }
+    for cell in fresh {
+        match baseline
+            .iter()
+            .find(|b| b.suite == cell.suite && b.cell == cell.key)
+        {
+            None => report.new_cells.push(cell.key),
+            Some(_) if portable_only && !cell.portable => {}
+            Some(b) => report.checks.push(Check {
+                ok: cell.within_band(b.value),
+                baseline: b.value,
+                cell,
+                stats: None,
+            }),
+        }
+    }
+    report
+}
+
+/// One line of `BENCH_baseline.jsonl` or `BENCH_history.jsonl`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct HistoryCell {
+    /// Monotonic run index (shared by every cell appended by one run;
+    /// 0 throughout the baseline).
+    pub run: u64,
+    /// Gate suite.
+    pub suite: String,
+    /// Cell key, `workload/ranks/metric`.
+    pub cell: String,
+    /// The measured value.
+    pub value: f64,
+}
+
+/// Parse baseline or history text. Valid-prefix semantics like the
+/// runtime WAL: the first malformed line drops itself and everything
+/// after it; blank lines are skipped. Empty text is an empty history.
+pub fn parse_history(text: &str) -> Vec<HistoryCell> {
+    let mut cells = Vec::new();
+    for line in text.lines() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let parsed = (|| -> Result<HistoryCell, String> {
+            Ok(HistoryCell {
+                run: num_field(line, "run")? as u64,
+                suite: str_field(line, "suite")?,
+                cell: str_field(line, "cell")?,
+                value: num_field(line, "value")?,
+            })
+        })();
+        match parsed {
+            Ok(c) => cells.push(c),
+            Err(_) => break,
+        }
+    }
+    cells
 }
 
 /// The raw text after `"key":`, trimmed.
@@ -155,7 +328,7 @@ fn field_value<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
     let pat = format!("\"{key}\"");
     let at = obj
         .find(&pat)
-        .ok_or_else(|| format!("baseline row missing field `{key}`: {obj}"))?;
+        .ok_or_else(|| format!("line missing field `{key}`: {obj}"))?;
     let rest = obj[at + pat.len()..].trim_start();
     rest.strip_prefix(':')
         .map(str::trim_start)
@@ -183,563 +356,36 @@ fn num_field(obj: &str, key: &str) -> Result<f64, String> {
         .map_err(|e| format!("field `{key}` is not a number: {e}"))
 }
 
-/// One metric row parsed from `BENCH_service.json`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServiceBaselineRow {
-    /// Metric name (`p99_hot_ingest_ns`, `batches_per_wall_sec`, ...).
-    pub metric: String,
-    /// Baseline value.
-    pub value: f64,
-}
-
-/// Parse `BENCH_service.json` (a flat array of `{"metric", "value"}`
-/// rows, the shape [`ServiceBenchResult::to_json`] emits).
-pub fn parse_service_baseline(json: &str) -> Result<Vec<ServiceBaselineRow>, String> {
-    split_objects(json)?
-        .into_iter()
-        .map(|obj| {
-            Ok(ServiceBaselineRow {
-                metric: str_field(obj, "metric")?,
-                value: num_field(obj, "value")?,
-            })
-        })
-        .collect()
-}
-
-/// One baseline rank count parsed from `BENCH_simmpi.json`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SimmpiBaselineRow {
-    /// Simulated ranks.
-    pub ranks: usize,
-    /// Baseline rank-iterations per virtual second (deterministic).
-    pub rank_iters_per_virtual_sec: f64,
-    /// Baseline rank-iterations per wall second (machine-dependent).
-    pub rank_iters_per_wall_sec: f64,
-}
-
-/// Parse `BENCH_simmpi.json` (the shape
-/// [`crate::simmpi_scale::ScaleResult::to_json`] emits).
-pub fn parse_simmpi_baseline(json: &str) -> Result<Vec<SimmpiBaselineRow>, String> {
-    split_objects(json)?
-        .into_iter()
-        .map(|obj| {
-            Ok(SimmpiBaselineRow {
-                ranks: num_field(obj, "ranks")? as usize,
-                rank_iters_per_virtual_sec: num_field(obj, "rank_iters_per_virtual_sec")?,
-                rank_iters_per_wall_sec: num_field(obj, "rank_iters_per_wall_sec")?,
-            })
-        })
-        .collect()
-}
-
-/// The history-derived verdict attached to a check in `--stats` mode.
-#[derive(Clone, Debug)]
-pub struct StatsGate {
-    /// Recorded history samples for this cell (the current run excluded).
-    pub samples: usize,
-    /// Samples in the latest regime after change-point splitting.
-    pub regime_len: usize,
-    /// Median of the latest regime.
-    pub median: f64,
-    /// Allowed worse-direction deviation from that median.
-    pub allowed: f64,
-}
-
-/// One comparison the gate performed.
-#[derive(Clone, Debug)]
-pub struct GateCheck {
-    /// Workload name.
-    pub workload: String,
-    /// Rank count.
-    pub ranks: usize,
-    /// What was compared (`"vm-speedup"` or `"vm-throughput"`).
-    pub metric: &'static str,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Freshly measured value.
-    pub current: f64,
-    /// Whether the cell is within tolerance.
-    pub ok: bool,
-    /// The history verdict that superseded the fixed band, when deep
-    /// enough history was available ([`apply_history`]).
-    pub stats: Option<StatsGate>,
-}
-
-/// The gate's verdict over every comparable cell.
-#[derive(Clone, Debug, Default)]
-pub struct GateReport {
-    /// All performed checks.
-    pub checks: Vec<GateCheck>,
-    /// Baseline (workload, ranks) cells the fresh run did not measure.
-    pub skipped: usize,
-    /// The skipped cells by name — a silent skip hides a gate that
-    /// quietly stopped measuring something.
-    pub skipped_cells: Vec<String>,
-    /// Cells the fresh run measured that the committed baseline lacks:
-    /// a regenerated baseline grew a cell nothing gates yet. Hard
-    /// failure unless [`GateReport::allow_new_cells`].
-    pub new_cells: Vec<String>,
-    /// Accept new unmeasured cells (set when regenerating the baseline
-    /// on purpose, `--allow-new-cells`).
-    pub allow_new_cells: bool,
-    /// Tolerance used.
-    pub tolerance: f64,
-}
-
-impl GateReport {
-    /// True when every check passed, at least one ran (an empty
-    /// comparison is a gate misconfiguration, not a pass), and no cell
-    /// is new-and-ungated (unless explicitly allowed).
-    pub fn passed(&self) -> bool {
-        !self.checks.is_empty()
-            && self.checks.iter().all(|c| c.ok)
-            && (self.allow_new_cells || self.new_cells.is_empty())
-    }
-
-    /// Render the verdict table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "perf gate (tolerance {:.0}%): {} check(s), {} baseline cell(s) not re-measured",
-            self.tolerance * 100.0,
-            self.checks.len(),
-            self.skipped,
-        );
-        for c in &self.checks {
-            let _ = write!(
-                out,
-                "  [{}] {:<10} ranks {:>3} {:<13} baseline {:>12.2} current {:>12.2} ({:+.1}%)",
-                if c.ok { "ok" } else { "FAIL" },
-                c.workload,
-                c.ranks,
-                c.metric,
-                c.baseline,
-                c.current,
-                (c.current / c.baseline.max(1e-12) - 1.0) * 100.0,
-            );
-            match &c.stats {
-                Some(s) => {
-                    let _ = writeln!(
-                        out,
-                        " [history n={} regime {} median {:.2} allow ±{:.2}]",
-                        s.samples, s.regime_len, s.median, s.allowed,
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, " [fixed tolerance]");
-                }
-            }
-        }
-        if !self.skipped_cells.is_empty() {
-            let _ = writeln!(
-                out,
-                "  skipped baseline cell(s): {}",
-                self.skipped_cells.join(", ")
-            );
-        }
-        for cell in &self.new_cells {
-            let _ = writeln!(
-                out,
-                "  [{}] {cell} — measured but absent from the committed baseline{}",
-                if self.allow_new_cells { "new " } else { "NEW " },
-                if self.allow_new_cells {
-                    " (allowed)"
-                } else {
-                    "; regenerate it or pass --allow-new-cells"
-                },
-            );
-        }
-        let _ = writeln!(
-            out,
-            "perf gate: {}",
-            if self.passed() { "PASS" } else { "FAIL" }
-        );
-        out
-    }
-}
-
-/// Compare a fresh measurement against the committed baseline. Cells are
-/// keyed by (workload, ranks); a cell is compared only when both sides
-/// have both backends for it. `absolute` additionally gates the VM
-/// backend's absolute wall-ns-per-simulated-second — pass `false` unless
-/// the run executes on hardware comparable to the baseline machine.
-pub fn compare(
-    baseline: &[BaselineRow],
-    current: &InterpSpeedResult,
-    tolerance: f64,
-    absolute: bool,
-) -> GateReport {
-    let find_base = |workload: &str, ranks: usize, backend: &str| {
-        baseline
-            .iter()
-            .find(|r| r.workload == workload && r.ranks == ranks && r.backend == backend)
-    };
-    let find_cur = |workload: &str, ranks: usize, backend: &str| {
-        current
-            .rows
-            .iter()
-            .find(|r| r.workload == workload && r.ranks == ranks && r.backend == backend)
-    };
-
-    let mut keys: Vec<(String, usize)> = Vec::new();
-    for r in baseline {
-        let key = (r.workload.clone(), r.ranks);
-        if !keys.contains(&key) {
-            keys.push(key);
-        }
-    }
-
-    let mut report = GateReport {
-        tolerance,
-        ..GateReport::default()
-    };
-    // Cells the fresh sweep measured that the baseline has never heard
-    // of: nothing gates them, which is exactly how a regenerated
-    // benchmark silently escapes its gate.
-    for r in &current.rows {
-        let key = (r.workload.to_string(), r.ranks);
-        let name = format!("{}/{}", key.0, key.1);
-        if !keys.contains(&key) && !report.new_cells.contains(&name) {
-            report.new_cells.push(name);
-        }
-    }
-    for (workload, ranks) in keys {
-        let cells = (
-            find_base(&workload, ranks, "tree-walker"),
-            find_base(&workload, ranks, "vm"),
-            find_cur(&workload, ranks, "tree-walker"),
-            find_cur(&workload, ranks, "vm"),
-        );
-        let (Some(bw), Some(bv), Some(cw), Some(cv)) = cells else {
-            report.skipped += 1;
-            report.skipped_cells.push(format!("{workload}/{ranks}"));
-            continue;
-        };
-        // Walker→VM speedup must not collapse: a same-machine ratio, so
-        // it is meaningful even when CI hardware differs from the
-        // baseline machine.
-        let base_speedup = bw.wall_ns as f64 / bv.wall_ns.max(1) as f64;
-        let cur_speedup = cw.wall_ns as f64 / cv.wall_ns.max(1) as f64;
-        report.checks.push(GateCheck {
-            workload: workload.clone(),
-            ranks,
-            metric: "vm-speedup",
-            baseline: base_speedup,
-            current: cur_speedup,
-            ok: cur_speedup >= base_speedup * (1.0 - tolerance),
-            stats: None,
-        });
-        // The VM backend (the default engine) must not get absolutely
-        // slower per simulated second — same-machine runs only.
-        if absolute {
-            report.checks.push(GateCheck {
-                workload: workload.clone(),
-                ranks,
-                metric: "vm-throughput",
-                baseline: bv.wall_ns_per_sim_sec,
-                current: cv.wall_ns_per_sim_sec,
-                ok: cv.wall_ns_per_sim_sec <= bv.wall_ns_per_sim_sec * (1.0 + tolerance),
-                stats: None,
-            });
-        }
-    }
-    report
-}
-
-/// Compare a fresh multi-tenant service measurement against the
-/// committed `BENCH_service.json`. The p99 ingest latencies are virtual
-/// time — machine-independent, gated in every mode. Backpressure must
-/// still engage on the hot tenant (a zero count means admission control
-/// stopped working, whatever the baseline said). The absolute
-/// batches-per-wall-second throughput compares wall clocks across
-/// machines, so it is gated only with `absolute = true`; otherwise the
-/// baseline row is counted as skipped.
-pub fn compare_service(
-    baseline: &[ServiceBaselineRow],
-    current: &ServiceBenchResult,
-    tolerance: f64,
-    absolute: bool,
-) -> GateReport {
-    let mut checks = Vec::new();
-    let mut skipped_cells: Vec<String> = Vec::new();
-    let tenants = current.tenants;
-    let mut push = |metric: &'static str, base: f64, cur: f64, ok: bool| {
-        checks.push(GateCheck {
-            workload: "service".into(),
-            ranks: tenants,
-            metric,
-            baseline: base,
-            current: cur,
-            ok,
-            stats: None,
-        });
-    };
-    for row in baseline {
-        match row.metric.as_str() {
-            "p99_hot_ingest_ns" => {
-                let cur = current.p99_hot_ingest_ns as f64;
-                push(
-                    "p99-hot-ingest",
-                    row.value,
-                    cur,
-                    cur <= row.value * (1.0 + tolerance),
-                );
-            }
-            "p99_steady_ingest_ns" => {
-                let cur = current.p99_steady_ingest_ns as f64;
-                push(
-                    "p99-steady-ingest",
-                    row.value,
-                    cur,
-                    cur <= row.value * (1.0 + tolerance),
-                );
-            }
-            "hot_backpressured" => {
-                let cur = current.hot_backpressured as f64;
-                push("backpressure-engaged", row.value, cur, cur > 0.0);
-            }
-            "batches_per_wall_sec" => {
-                if absolute {
-                    let cur = current.batches_per_wall_sec();
-                    push(
-                        "service-throughput",
-                        row.value,
-                        cur,
-                        cur >= row.value * (1.0 - tolerance),
-                    );
-                } else {
-                    skipped_cells.push(format!("service/{}", row.metric));
-                }
-            }
-            _ => skipped_cells.push(format!("service/{}", row.metric)),
-        }
-    }
-    // Every metric the fresh study emits must exist in the baseline:
-    // regenerating `BENCH_service.json` with a new metric nothing gates
-    // is a hard failure, not a silent pass.
-    let new_cells = [
-        "p99_hot_ingest_ns",
-        "p99_steady_ingest_ns",
-        "hot_backpressured",
-        "batches_per_wall_sec",
-    ]
-    .iter()
-    .filter(|m| !baseline.iter().any(|r| &r.metric == *m))
-    .map(|m| format!("service/{m}"))
-    .collect();
-    GateReport {
-        checks,
-        skipped: skipped_cells.len(),
-        skipped_cells,
-        new_cells,
-        tolerance,
-        ..GateReport::default()
-    }
-}
-
-/// Compare a fresh event-backend rank-scaling measurement against the
-/// committed `BENCH_simmpi.json`. Three classes of check, in descending
-/// portability:
-///
-/// * **Virtual-time throughput** per rank count — deterministic and
-///   machine-independent, gated in every mode. Drift here means the
-///   *simulation* changed, not the hardware.
-/// * **Scaling efficiency** — the ratio of wall throughput between each
-///   *adjacent pair* of rank counts measured on both sides (1K→4K,
-///   4K→16K, ...). Same-machine ratios (both ends of each come from this
-///   run), so they are gated even on shared CI runners: an event-queue or
-///   data-layout regression that hits big worlds harder than small ones
-///   collapses one of these ratios no matter how fast the machine is —
-///   and gating per segment means a collapsing 4K→16K tail cannot hide
-///   behind a healthy 1K→4K span.
-/// * **Absolute wall throughput** per rank count — gated only with
-///   `absolute = true` (comparable hardware).
-///
-/// Baseline rank counts the fresh run did not measure are skipped, never
-/// failed — CI re-measures a reduced curve (the 16,384-rank point takes
-/// minutes).
-pub fn compare_simmpi(
-    baseline: &[SimmpiBaselineRow],
-    current: &ScaleResult,
-    tolerance: f64,
-    absolute: bool,
-) -> GateReport {
-    let mut report = GateReport {
-        tolerance,
-        ..GateReport::default()
-    };
-    // Fresh rank counts the baseline lacks are ungated cells.
-    for c in &current.rows {
-        if !baseline.iter().any(|b| b.ranks == c.ranks) {
-            report.new_cells.push(format!("simmpi/{}", c.ranks));
-        }
-    }
-    // Rank counts present on both sides, ascending (baseline order).
-    let mut common: Vec<usize> = Vec::new();
-    for b in baseline {
-        match current.rows.iter().find(|c| c.ranks == b.ranks) {
-            Some(c) => {
-                common.push(b.ranks);
-                report.checks.push(GateCheck {
-                    workload: "simmpi".into(),
-                    ranks: b.ranks,
-                    metric: "virt-throughput",
-                    baseline: b.rank_iters_per_virtual_sec,
-                    current: c.rank_iters_per_virtual_sec,
-                    ok: c.rank_iters_per_virtual_sec
-                        >= b.rank_iters_per_virtual_sec * (1.0 - tolerance),
-                    stats: None,
-                });
-                if absolute {
-                    report.checks.push(GateCheck {
-                        workload: "simmpi".into(),
-                        ranks: b.ranks,
-                        metric: "wall-throughput",
-                        baseline: b.rank_iters_per_wall_sec,
-                        current: c.rank_iters_per_wall_sec,
-                        ok: c.rank_iters_per_wall_sec
-                            >= b.rank_iters_per_wall_sec * (1.0 - tolerance),
-                        stats: None,
-                    });
-                }
-            }
-            None => {
-                report.skipped += 1;
-                report.skipped_cells.push(format!("simmpi/{}", b.ranks));
-            }
-        }
-    }
-    // Scaling efficiency per adjacent pair of measured rank counts. One
-    // widest-span ratio can hide a collapsing tail: a big win at
-    // 1K→4K masks a 4K→16K cliff when they are folded into one number.
-    // Gating each adjacent segment (1K→4K *and* 4K→16K) catches a
-    // regression that only bites at the top of the curve.
-    for pair in common.windows(2) {
-        let (lo, hi) = (pair[0], pair[1]);
-        let base_ratio = {
-            let find = |ranks| baseline.iter().find(|r| r.ranks == ranks).unwrap();
-            find(hi).rank_iters_per_wall_sec / find(lo).rank_iters_per_wall_sec.max(1e-9)
-        };
-        let cur_ratio = current.scaling_efficiency(lo, hi).unwrap();
-        report.checks.push(GateCheck {
-            workload: "simmpi".into(),
-            ranks: hi,
-            metric: "scaling-ratio",
-            baseline: base_ratio,
-            current: cur_ratio,
-            ok: cur_ratio >= base_ratio * (1.0 - tolerance),
-            stats: None,
-        });
-    }
-    report
-}
-
-/// A cell needs this many recorded runs before the history verdict
-/// supersedes the fixed tolerance band — mirrors the runtime baseline
-/// store's `min_history`.
-pub const MIN_HISTORY_SAMPLES: usize = 5;
-
-/// One recorded measurement from `BENCH_history.jsonl`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistoryCell {
-    /// Monotonic run index (shared by every cell appended by one run).
-    pub run: u64,
-    /// Gate suite (`interp`, `service`, `simmpi`).
-    pub suite: String,
-    /// Cell key, `workload/ranks/metric` ([`cell_key`]).
-    pub cell: String,
-    /// The measured value.
-    pub value: f64,
-}
-
-/// The history key of a check: `workload/ranks/metric`.
-pub fn cell_key(check: &GateCheck) -> String {
-    format!("{}/{}/{}", check.workload, check.ranks, check.metric)
-}
-
-/// Parse `BENCH_history.jsonl` — one flat `{"run","suite","cell",
-/// "value"}` object per line. Valid-prefix semantics like the runtime
-/// WAL: the first malformed line (a torn tail from an interrupted
-/// append) drops itself and everything after it; blank lines are
-/// skipped. A missing or empty file is simply an empty history.
-pub fn parse_history(text: &str) -> Vec<HistoryCell> {
-    let mut cells = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let parsed = (|| -> Result<HistoryCell, String> {
-            Ok(HistoryCell {
-                run: num_field(line, "run")? as u64,
-                suite: str_field(line, "suite")?,
-                cell: str_field(line, "cell")?,
-                value: num_field(line, "value")?,
-            })
-        })();
-        match parsed {
-            Ok(c) => cells.push(c),
-            Err(_) => break,
-        }
-    }
-    cells
-}
-
 /// The run index a fresh append should use: one past the largest seen.
 pub fn next_history_run(history: &[HistoryCell]) -> u64 {
     history.iter().map(|h| h.run + 1).max().unwrap_or(0)
 }
 
-/// Serialize this report's fresh measurements as history lines (the
-/// correctness-bit metric is excluded — it is not a distribution).
-pub fn history_lines(report: &GateReport, suite: &str, run: u64) -> String {
+/// Serialize cells as baseline/history lines. `{:?}` round-trips every
+/// `f64` bit-exactly through [`parse_history`].
+pub fn jsonl<'a>(cells: impl IntoIterator<Item = &'a Cell>, run: u64) -> String {
     let mut out = String::new();
-    for c in &report.checks {
-        if c.metric == "backpressure-engaged" {
-            continue;
-        }
+    for c in cells {
         let _ = writeln!(
             out,
-            "{{\"run\": {run}, \"suite\": \"{suite}\", \"cell\": \"{}\", \"value\": {:?}}}",
-            cell_key(c),
-            c.current,
+            "{{\"run\": {run}, \"suite\": \"{}\", \"cell\": \"{}\", \"value\": {:?}}}",
+            c.suite, c.key, c.value,
         );
     }
     out
 }
 
-/// In the worse direction, a larger value of this metric is a
-/// regression (latencies and ns-per-work figures); for every other
-/// metric smaller is worse (speedups, throughputs, scaling ratios).
-fn higher_is_worse(metric: &str) -> bool {
-    matches!(
-        metric,
-        "vm-throughput"
-            | "p99-hot-ingest"
-            | "p99-steady-ingest"
-            | "reference-cost-fraction"
-            | "budgeted-cost-fraction"
-            | "control-epochs"
-            | "escalated-ranks"
+/// This report's judged measurements as history lines (correctness bits
+/// excluded).
+pub fn history_lines(report: &GateReport, run: u64) -> String {
+    jsonl(
+        report
+            .checks
+            .iter()
+            .map(|c| &c.cell)
+            .filter(|c| c.worse != Worse::NonPositive),
+        run,
     )
-}
-
-/// The relative deviation floor under the `3·MAD` cut: virtual-time
-/// figures are deterministic by construction, so real drift there is a
-/// simulation change and the floor is 1 %; wall-derived figures jitter
-/// with the machine and get 10 %.
-fn rel_floor(metric: &str) -> f64 {
-    match metric {
-        "p99-hot-ingest"
-        | "p99-steady-ingest"
-        | "virt-throughput"
-        | "reference-cost-fraction"
-        | "budgeted-cost-fraction"
-        | "control-epochs"
-        | "escalated-ranks" => 0.01,
-        _ => 0.10,
-    }
 }
 
 /// The tail of the series after repeatedly splitting at the most
@@ -761,20 +407,20 @@ fn latest_regime<'a>(series: &'a [f64], policy: &ShiftPolicy) -> &'a [f64] {
 ///
 /// Cells with at least [`MIN_HISTORY_SAMPLES`] recorded runs get a
 /// variance-aware verdict that *supersedes* the fixed band: the current
-/// value must sit within `max(3·scaled-MAD, rel_floor·|median|)` of the
+/// value must sit within `max(3·scaled-MAD, floor·|median|)` of the
 /// latest regime's median in the worse direction. Shallower cells keep
-/// their fixed-tolerance verdict (the documented fallback). The
-/// backpressure correctness bit is never statistical.
-pub fn apply_history(report: &mut GateReport, suite: &str, history: &[HistoryCell]) {
+/// their fixed-band verdict (the documented fallback). Correctness bits
+/// are never statistical.
+pub fn apply_history(report: &mut GateReport, history: &[HistoryCell]) {
     let policy = ShiftPolicy::default();
     for check in &mut report.checks {
-        if check.metric == "backpressure-engaged" {
+        let cell = &check.cell;
+        if cell.worse == Worse::NonPositive {
             continue;
         }
-        let key = cell_key(check);
         let mut rows: Vec<(u64, f64)> = history
             .iter()
-            .filter(|h| h.suite == suite && h.cell == key)
+            .filter(|h| h.suite == cell.suite && h.cell == cell.key)
             .map(|h| (h.run, h.value))
             .collect();
         rows.sort_by_key(|&(run, _)| run);
@@ -785,11 +431,11 @@ pub fn apply_history(report: &mut GateReport, suite: &str, history: &[HistoryCel
         let regime = latest_regime(&series, &policy);
         let median = stats::median(regime).expect("regime is non-empty");
         let smad = stats::scaled_mad(regime).unwrap_or(0.0);
-        let allowed = (3.0 * smad).max(rel_floor(check.metric) * median.abs());
-        check.ok = if higher_is_worse(check.metric) {
-            check.current <= median + allowed
+        let allowed = (3.0 * smad).max(cell.floor * median.abs());
+        check.ok = if cell.worse == Worse::Higher {
+            cell.value <= median + allowed
         } else {
-            check.current >= median - allowed
+            cell.value >= median - allowed
         };
         check.stats = Some(StatsGate {
             samples: series.len(),
@@ -803,182 +449,42 @@ pub fn apply_history(report: &mut GateReport, suite: &str, history: &[HistoryCel
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp_speed::{InterpRow, InterpSpeedResult};
+    use crate::service_bench::ServiceBenchResult;
+    use crate::simmpi_scale::{ScaleResult, ScaleRow};
 
-    fn synthetic(workloads: &[&'static str], ranks: &[usize]) -> Vec<InterpRow> {
+    /// Walker 5× slower than the VM, wall growing with ranks — the
+    /// committed trajectory's rough shape.
+    fn interp(workloads: &[&'static str], ranks: &[usize]) -> InterpSpeedResult {
         let mut rows = Vec::new();
-        for &w in workloads {
-            for &r in ranks {
-                // Walker 5x slower than the VM, throughput scales with
-                // ranks — the committed trajectory's rough shape.
-                let vm_wall = 1_000_000_000 * r as u64;
-                rows.push(InterpRow {
-                    workload: w,
-                    backend: "tree-walker",
-                    ranks: r,
-                    wall_ns: vm_wall * 5,
-                    simulated_secs: 0.05,
-                    wall_ns_per_sim_sec: (vm_wall * 5) as f64 / 0.05,
-                });
-                rows.push(InterpRow {
-                    workload: w,
-                    backend: "vm",
-                    ranks: r,
-                    wall_ns: vm_wall,
-                    simulated_secs: 0.05,
-                    wall_ns_per_sim_sec: vm_wall as f64 / 0.05,
-                });
+        for &workload in workloads {
+            for &ranks in ranks {
+                let vm_wall = 1_000_000_000 * ranks as u64;
+                for (backend, wall_ns) in [("tree-walker", vm_wall * 5), ("vm", vm_wall)] {
+                    rows.push(InterpRow {
+                        workload,
+                        backend,
+                        ranks,
+                        wall_ns,
+                        simulated_secs: 0.05,
+                        wall_ns_per_sim_sec: wall_ns as f64 / 0.05,
+                    });
+                }
             }
         }
-        rows
+        InterpSpeedResult { rows }
     }
 
-    fn to_baseline(rows: &[InterpRow]) -> Vec<BaselineRow> {
-        parse_baseline(
-            &InterpSpeedResult {
-                rows: rows.to_vec(),
+    fn scale_wall(r: &mut InterpSpeedResult, backend: Option<&str>, by: f64) {
+        for row in &mut r.rows {
+            if backend.is_none_or(|b| row.backend == b) {
+                row.wall_ns = (row.wall_ns as f64 * by) as u64;
+                row.wall_ns_per_sim_sec *= by;
             }
-            .to_json(),
-        )
-        .expect("round-trip")
-    }
-
-    #[test]
-    fn parser_round_trips_the_emitted_format() {
-        let rows = synthetic(&["cg-fig21", "ft-fig22"], &[4, 16]);
-        let parsed = to_baseline(&rows);
-        assert_eq!(parsed.len(), 8);
-        assert_eq!(parsed[0].workload, "cg-fig21");
-        assert_eq!(parsed[0].backend, "tree-walker");
-        assert_eq!(parsed[0].ranks, 4);
-        assert_eq!(parsed[0].wall_ns, 20_000_000_000);
-        assert!((parsed[1].wall_ns_per_sim_sec - 4_000_000_000.0 / 0.05).abs() < 1.0);
-    }
-
-    #[test]
-    fn parser_rejects_malformed_input() {
-        assert!(parse_baseline("not json").is_err());
-        assert!(parse_baseline("[]").is_err(), "no rows is an error");
-        assert!(
-            parse_baseline("[{\"workload\": \"cg\"}]").is_err(),
-            "missing fields"
-        );
-        assert!(parse_baseline("[{").is_err());
-    }
-
-    #[test]
-    fn identical_runs_pass() {
-        let rows = synthetic(&["cg-fig21"], &[4, 16]);
-        let report = compare(
-            &to_baseline(&rows),
-            &InterpSpeedResult { rows },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert!(report.passed(), "{}", report.render());
-        assert_eq!(report.checks.len(), 4, "2 cells x 2 metrics");
-        assert_eq!(report.skipped, 0);
-    }
-
-    #[test]
-    fn noise_within_tolerance_passes() {
-        let base = synthetic(&["cg-fig21", "ft-fig22"], &[4, 16]);
-        let mut cur = base.clone();
-        // ±10% jitter, alternating direction per row.
-        for (i, r) in cur.iter_mut().enumerate() {
-            let f = if i % 2 == 0 { 1.10 } else { 0.90 };
-            r.wall_ns = (r.wall_ns as f64 * f) as u64;
-            r.wall_ns_per_sim_sec *= f;
         }
-        let report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert!(report.passed(), "{}", report.render());
     }
 
-    #[test]
-    fn injected_2x_vm_slowdown_fails() {
-        let base = synthetic(&["cg-fig21"], &[4]);
-        let mut cur = base.clone();
-        for r in cur.iter_mut().filter(|r| r.backend == "vm") {
-            r.wall_ns *= 2;
-            r.wall_ns_per_sim_sec *= 2.0;
-        }
-        let report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur.clone() },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert!(!report.passed());
-        // Both metrics see it: the speedup halves and throughput doubles.
-        assert!(
-            report.checks.iter().filter(|c| !c.ok).count() == 2,
-            "{}",
-            report.render()
-        );
-        assert!(report.render().contains("FAIL"));
-        // The ratio alone also catches a VM-only regression.
-        let ratio_only = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            false,
-        );
-        assert!(!ratio_only.passed(), "{}", ratio_only.render());
-    }
-
-    #[test]
-    fn ratio_only_tolerates_a_uniformly_slower_machine() {
-        // A CI runner 3x slower than the baseline machine slows both
-        // backends equally: the speedup ratio is unchanged, the absolute
-        // throughput is far outside any sane tolerance.
-        let base = synthetic(&["cg-fig21", "ft-fig22"], &[4, 16]);
-        let mut cur = base.clone();
-        for r in cur.iter_mut() {
-            r.wall_ns *= 3;
-            r.wall_ns_per_sim_sec *= 3.0;
-        }
-        let ratio_only = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur.clone() },
-            DEFAULT_TOLERANCE,
-            false,
-        );
-        assert!(ratio_only.passed(), "{}", ratio_only.render());
-        assert!(
-            ratio_only.checks.iter().all(|c| c.metric == "vm-speedup"),
-            "no absolute checks in ratio-only mode"
-        );
-        let with_absolute = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert!(
-            !with_absolute.passed(),
-            "the absolute check is machine-dependent by design"
-        );
-    }
-
-    #[test]
-    fn baseline_only_cells_are_skipped_not_failed() {
-        let base = synthetic(&["cg-fig21"], &[4, 16, 64]);
-        let cur = synthetic(&["cg-fig21"], &[4, 16]);
-        let report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert!(report.passed());
-        assert_eq!(report.skipped, 1, "the ranks=64 cell");
-    }
-
-    fn service_result() -> ServiceBenchResult {
+    fn service() -> ServiceBenchResult {
         ServiceBenchResult {
             tenants: 16,
             ranks_per_tenant: 4,
@@ -996,67 +502,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn service_baseline_round_trips() {
-        let r = service_result();
-        let rows = parse_service_baseline(&r.to_json()).expect("round-trip");
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].metric, "p99_hot_ingest_ns");
-        assert!((rows[0].value - 1_000.0).abs() < 1e-9);
-        assert!(parse_service_baseline("[]").is_err());
-        assert!(parse_service_baseline("[{\"metric\": \"x\"}]").is_err());
-    }
-
-    #[test]
-    fn identical_service_runs_pass_and_ratio_only_skips_throughput() {
-        let r = service_result();
-        let base = parse_service_baseline(&r.to_json()).unwrap();
-        let full = compare_service(&base, &r, DEFAULT_TOLERANCE, true);
-        assert!(full.passed(), "{}", full.render());
-        assert_eq!(full.checks.len(), 4);
-        let ratio = compare_service(&base, &r, DEFAULT_TOLERANCE, false);
-        assert!(ratio.passed(), "{}", ratio.render());
-        assert_eq!(ratio.checks.len(), 3, "wall throughput not gated");
-        assert_eq!(ratio.skipped, 1);
-        assert!(ratio
-            .checks
-            .iter()
-            .all(|c| c.metric != "service-throughput"));
-    }
-
-    #[test]
-    fn service_p99_regression_fails_in_every_mode() {
-        let base = parse_service_baseline(&service_result().to_json()).unwrap();
-        let mut slow = service_result();
-        slow.p99_steady_ingest_ns *= 2;
-        for absolute in [true, false] {
-            let report = compare_service(&base, &slow, DEFAULT_TOLERANCE, absolute);
-            assert!(!report.passed(), "{}", report.render());
-            assert!(report
-                .checks
-                .iter()
-                .any(|c| c.metric == "p99-steady-ingest" && !c.ok));
-        }
-    }
-
-    #[test]
-    fn service_gate_fails_when_backpressure_stops_engaging() {
-        let base = parse_service_baseline(&service_result().to_json()).unwrap();
-        let mut broken = service_result();
-        broken.hot_backpressured = 0;
-        let report = compare_service(&base, &broken, DEFAULT_TOLERANCE, false);
-        assert!(!report.passed(), "{}", report.render());
-        assert!(report
-            .checks
-            .iter()
-            .any(|c| c.metric == "backpressure-engaged" && !c.ok));
-    }
-
-    fn scale_result(ranks: &[usize]) -> ScaleResult {
-        use crate::simmpi_scale::ScaleRow;
-        // Flat cost per rank-iteration: wall throughput independent of
-        // scale, virtual throughput growing with the rank count (more
-        // ranks do more work per virtual second).
+    /// Flat cost per rank-iteration: wall throughput independent of
+    /// scale, virtual throughput growing with the rank count.
+    fn scale(ranks: &[usize]) -> ScaleResult {
         ScaleResult {
             rows: ranks
                 .iter()
@@ -1072,201 +520,415 @@ mod tests {
         }
     }
 
-    #[test]
-    fn simmpi_baseline_round_trips() {
-        let r = scale_result(&[1024, 4096]);
-        let rows = parse_simmpi_baseline(&r.to_json()).expect("round-trip");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].ranks, 1024);
-        assert!((rows[0].rank_iters_per_virtual_sec - 1024.0 * 24.0 / 0.5).abs() < 1.0);
-        assert!((rows[1].rank_iters_per_wall_sec - 24_000.0).abs() < 1e-6);
-        assert!(parse_simmpi_baseline("[]").is_err());
-        assert!(parse_simmpi_baseline("[{\"ranks\": 4}]").is_err());
+    /// Cells as the committed baseline holds them: through the same
+    /// jsonl round trip `--out` → `BENCH_baseline.jsonl` takes.
+    fn baseline(cells: &[Cell]) -> Vec<HistoryCell> {
+        parse_history(&jsonl(cells, 0))
+    }
+
+    struct Case {
+        name: &'static str,
+        base: Vec<Cell>,
+        fresh: Vec<Cell>,
+        portable_only: bool,
+        checks: usize,
+        failing: &'static [&'static str],
+        pass: bool,
     }
 
     #[test]
-    fn identical_simmpi_runs_pass_and_ratio_only_skips_wall() {
-        let r = scale_result(&[1024, 4096, 16384]);
-        let base = parse_simmpi_baseline(&r.to_json()).unwrap();
-        let full = compare_simmpi(&base, &r, DEFAULT_TOLERANCE, true);
-        assert!(full.passed(), "{}", full.render());
-        // 3 virtual + 3 wall + 2 adjacent scaling ratios (1K→4K, 4K→16K).
-        assert_eq!(full.checks.len(), 8);
-        let ratio = compare_simmpi(&base, &r, DEFAULT_TOLERANCE, false);
-        assert!(ratio.passed(), "{}", ratio.render());
-        assert_eq!(ratio.checks.len(), 5, "no absolute wall checks");
-        assert!(ratio.checks.iter().all(|c| c.metric != "wall-throughput"));
-    }
-
-    #[test]
-    fn simmpi_scaling_collapse_fails_even_ratio_only() {
-        // A regression that hits big worlds harder: wall throughput at
-        // 4096 ranks drops to a third while 1024 is untouched. A uniformly
-        // slower CI machine can't produce this shape.
-        let base = parse_simmpi_baseline(&scale_result(&[1024, 4096]).to_json()).unwrap();
-        let mut cur = scale_result(&[1024, 4096]);
-        cur.rows[1].wall_ns *= 3;
-        cur.rows[1].rank_iters_per_wall_sec /= 3.0;
-        let report = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, false);
-        assert!(!report.passed(), "{}", report.render());
-        assert!(report
-            .checks
-            .iter()
-            .any(|c| c.metric == "scaling-ratio" && !c.ok));
-    }
-
-    #[test]
-    fn simmpi_collapsing_tail_ratio_fails_despite_healthy_head() {
-        // The tail-gate scenario: 1K→4K is *better* than baseline while
-        // 4K→16K collapses. The old widest-span (1K→16K) ratio would
-        // average the win against the cliff and could pass; the
-        // per-adjacent-pair gate must fail on the 16,384 segment.
-        let base = parse_simmpi_baseline(&scale_result(&[1024, 4096, 16384]).to_json()).unwrap();
-        let mut cur = scale_result(&[1024, 4096, 16384]);
-        cur.rows[1].rank_iters_per_wall_sec *= 2.0; // 4096 got faster...
-        cur.rows[2].rank_iters_per_wall_sec *= 0.9; // ...16384 did not keep the gain
-                                                    // Sanity: the widest 1K→16K span (0.9 vs a baseline ratio of 1.0)
-                                                    // clears the 25% tolerance, so only the per-segment gate can see
-                                                    // that the 4K→16K efficiency halved (0.9/2.0 = 0.45).
-        let wide = cur.rows[2].rank_iters_per_wall_sec / cur.rows[0].rank_iters_per_wall_sec;
-        assert!(wide >= 1.0 * (1.0 - DEFAULT_TOLERANCE));
-        let report = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, false);
-        assert!(!report.passed(), "{}", report.render());
-        let tail = report
-            .checks
-            .iter()
-            .find(|c| c.metric == "scaling-ratio" && c.ranks == 16384)
-            .expect("tail segment is gated");
-        assert!(!tail.ok, "the 4K->16K collapse must fail");
-        let head = report
-            .checks
-            .iter()
-            .find(|c| c.metric == "scaling-ratio" && c.ranks == 4096)
-            .expect("head segment is gated");
-        assert!(head.ok, "the healthy 1K->4K segment passes");
-    }
-
-    #[test]
-    fn simmpi_ratio_only_tolerates_a_uniformly_slower_machine() {
-        let base = parse_simmpi_baseline(&scale_result(&[1024, 4096]).to_json()).unwrap();
-        let mut cur = scale_result(&[1024, 4096]);
-        for row in &mut cur.rows {
-            row.wall_ns *= 3;
-            row.rank_iters_per_wall_sec /= 3.0;
+    fn fixed_band_verdicts() {
+        let two = &["cg-fig21", "ft-fig22"][..];
+        let noisy = {
+            // ±10 % jitter, alternating direction per row.
+            let mut r = interp(two, &[4, 16]);
+            for (i, row) in r.rows.iter_mut().enumerate() {
+                let f = if i % 2 == 0 { 1.10 } else { 0.90 };
+                row.wall_ns = (row.wall_ns as f64 * f) as u64;
+                row.wall_ns_per_sim_sec *= f;
+            }
+            r
+        };
+        let slow_vm = {
+            let mut r = interp(&["cg-fig21"], &[4]);
+            scale_wall(&mut r, Some("vm"), 2.0);
+            r
+        };
+        let slow_machine = {
+            let mut r = interp(two, &[4, 16]);
+            scale_wall(&mut r, None, 3.0);
+            r
+        };
+        let slow_p99 = {
+            let mut r = service();
+            r.p99_steady_ingest_ns *= 2;
+            r
+        };
+        let no_backpressure = {
+            let mut r = service();
+            r.hot_backpressured = 0;
+            r
+        };
+        let curve = [1024, 4096, 16384];
+        let collapse = {
+            // Wall throughput at 4,096 ranks drops to a third while 1,024
+            // is untouched: a uniformly slower machine can't do this.
+            let mut r = scale(&curve[..2]);
+            r.rows[1].rank_iters_per_wall_sec /= 3.0;
+            r
+        };
+        let tail = {
+            // 1K→4K gets *better* while 4K→16K halves (0.9 / 2.0). The
+            // widest 1K→16K span (0.9 vs 1.0) would clear the band; only
+            // the per-segment ratio sees the tail collapse.
+            let mut r = scale(&curve);
+            r.rows[1].rank_iters_per_wall_sec *= 2.0;
+            r.rows[2].rank_iters_per_wall_sec *= 0.9;
+            r
+        };
+        let slow_sim_machine = {
+            let mut r = scale(&curve[..2]);
+            for row in &mut r.rows {
+                row.rank_iters_per_wall_sec /= 3.0;
+            }
+            r
+        };
+        let drift = {
+            let mut r = scale(&curve[..2]);
+            r.rows[0].rank_iters_per_virtual_sec /= 2.0;
+            r
+        };
+        let ib = interp(two, &[4, 16]).cells();
+        let cases = vec![
+            Case {
+                name: "identical interp runs pass",
+                base: ib.clone(),
+                fresh: ib.clone(),
+                portable_only: false,
+                checks: 8,
+                failing: &[],
+                pass: true,
+            },
+            Case {
+                name: "±10% noise passes",
+                base: ib.clone(),
+                fresh: noisy.cells(),
+                portable_only: false,
+                checks: 8,
+                failing: &[],
+                pass: true,
+            },
+            Case {
+                name: "2x VM slowdown fails both interp metrics",
+                base: interp(&["cg-fig21"], &[4]).cells(),
+                fresh: slow_vm.cells(),
+                portable_only: false,
+                checks: 2,
+                failing: &["cg-fig21/4/vm-speedup", "cg-fig21/4/vm-throughput"],
+                pass: false,
+            },
+            Case {
+                name: "2x VM slowdown fails the speedup ratio alone",
+                base: interp(&["cg-fig21"], &[4]).cells(),
+                fresh: slow_vm.cells(),
+                portable_only: true,
+                checks: 1,
+                failing: &["cg-fig21/4/vm-speedup"],
+                pass: false,
+            },
+            Case {
+                name: "ratio-only tolerates a uniformly 3x slower machine",
+                base: ib.clone(),
+                fresh: slow_machine.cells(),
+                portable_only: true,
+                checks: 4,
+                failing: &[],
+                pass: true,
+            },
+            Case {
+                name: "absolute checks see the slower machine",
+                base: ib.clone(),
+                fresh: slow_machine.cells(),
+                portable_only: false,
+                checks: 8,
+                failing: &[
+                    "cg-fig21/4/vm-throughput",
+                    "cg-fig21/16/vm-throughput",
+                    "ft-fig22/4/vm-throughput",
+                    "ft-fig22/16/vm-throughput",
+                ],
+                pass: false,
+            },
+            Case {
+                name: "identical service runs pass",
+                base: service().cells(),
+                fresh: service().cells(),
+                portable_only: false,
+                checks: 4,
+                failing: &[],
+                pass: true,
+            },
+            Case {
+                name: "ratio-only leaves the service wall throughput out",
+                base: service().cells(),
+                fresh: service().cells(),
+                portable_only: true,
+                checks: 3,
+                failing: &[],
+                pass: true,
+            },
+            Case {
+                name: "a p99 regression fails absolute",
+                base: service().cells(),
+                fresh: slow_p99.cells(),
+                portable_only: false,
+                checks: 4,
+                failing: &["service/16/p99-steady-ingest"],
+                pass: false,
+            },
+            Case {
+                name: "a p99 regression fails ratio-only",
+                base: service().cells(),
+                fresh: slow_p99.cells(),
+                portable_only: true,
+                checks: 3,
+                failing: &["service/16/p99-steady-ingest"],
+                pass: false,
+            },
+            Case {
+                name: "backpressure that stops engaging fails",
+                base: service().cells(),
+                fresh: no_backpressure.cells(),
+                portable_only: true,
+                checks: 3,
+                failing: &["service/16/backpressure-engaged"],
+                pass: false,
+            },
+            Case {
+                name: "identical simmpi curves pass",
+                base: scale(&curve).cells(),
+                fresh: scale(&curve).cells(),
+                portable_only: false,
+                // 3 virtual + 3 wall + 2 adjacent ratios.
+                checks: 8,
+                failing: &[],
+                pass: true,
+            },
+            Case {
+                name: "ratio-only leaves the simmpi wall throughputs out",
+                base: scale(&curve).cells(),
+                fresh: scale(&curve).cells(),
+                portable_only: true,
+                checks: 5,
+                failing: &[],
+                pass: true,
+            },
+            Case {
+                name: "a scaling collapse fails ratio-only",
+                base: scale(&curve[..2]).cells(),
+                fresh: collapse.cells(),
+                portable_only: true,
+                checks: 3,
+                failing: &["simmpi/4096/scaling-ratio"],
+                pass: false,
+            },
+            Case {
+                name: "a collapsing tail fails despite a healthy head",
+                base: scale(&curve).cells(),
+                fresh: tail.cells(),
+                portable_only: true,
+                checks: 5,
+                failing: &["simmpi/16384/scaling-ratio"],
+                pass: false,
+            },
+            Case {
+                name: "ratio-only tolerates a uniformly slower simulator machine",
+                base: scale(&curve[..2]).cells(),
+                fresh: slow_sim_machine.cells(),
+                portable_only: true,
+                checks: 3,
+                failing: &[],
+                pass: true,
+            },
+            Case {
+                name: "absolute simmpi checks see the slower machine",
+                base: scale(&curve[..2]).cells(),
+                fresh: slow_sim_machine.cells(),
+                portable_only: false,
+                checks: 5,
+                failing: &["simmpi/1024/wall-throughput", "simmpi/4096/wall-throughput"],
+                pass: false,
+            },
+            Case {
+                name: "virtual drift fails absolute",
+                base: scale(&curve[..2]).cells(),
+                fresh: drift.cells(),
+                portable_only: false,
+                checks: 5,
+                failing: &["simmpi/1024/virt-throughput"],
+                pass: false,
+            },
+            Case {
+                name: "virtual drift fails ratio-only",
+                base: scale(&curve[..2]).cells(),
+                fresh: drift.cells(),
+                portable_only: true,
+                checks: 3,
+                failing: &["simmpi/1024/virt-throughput"],
+                pass: false,
+            },
+            Case {
+                name: "baseline-only rank counts are skipped, not failed",
+                base: scale(&curve).cells(),
+                fresh: scale(&curve[..2]).cells(),
+                portable_only: true,
+                checks: 3,
+                failing: &[],
+                pass: true,
+            },
+            Case {
+                name: "an empty comparison fails",
+                base: interp(&["cg-fig21"], &[4]).cells(),
+                fresh: interp(&["ft-fig22"], &[8]).cells(),
+                portable_only: false,
+                checks: 0,
+                failing: &[],
+                pass: false,
+            },
+        ];
+        for case in cases {
+            let report = compare(&baseline(&case.base), case.fresh, case.portable_only);
+            let failing: Vec<&str> = report
+                .checks
+                .iter()
+                .filter(|c| !c.ok)
+                .map(|c| c.cell.key.as_str())
+                .collect();
+            let render = report.render();
+            assert_eq!(report.checks.len(), case.checks, "{}: {render}", case.name);
+            assert_eq!(failing, case.failing, "{}: {render}", case.name);
+            assert_eq!(report.passed(), case.pass, "{}: {render}", case.name);
+            assert_eq!(
+                render.ends_with("PASS\n"),
+                case.pass,
+                "{}: {render}",
+                case.name
+            );
         }
-        let ratio = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, false);
-        assert!(ratio.passed(), "{}", ratio.render());
-        let absolute = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, true);
-        assert!(!absolute.passed(), "wall checks are machine-dependent");
-    }
-
-    #[test]
-    fn simmpi_virtual_drift_fails_in_every_mode() {
-        // Virtual-time throughput is deterministic: a drop means the
-        // simulation itself changed, and no machine excuse applies.
-        let base = parse_simmpi_baseline(&scale_result(&[1024, 4096]).to_json()).unwrap();
-        let mut cur = scale_result(&[1024, 4096]);
-        cur.rows[0].rank_iters_per_virtual_sec /= 2.0;
-        for absolute in [true, false] {
-            let report = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, absolute);
-            assert!(!report.passed(), "{}", report.render());
-        }
-    }
-
-    #[test]
-    fn simmpi_baseline_only_ranks_are_skipped_not_failed() {
-        // CI re-measures a reduced curve: the committed 16,384-rank point
-        // must not fail the gate just because it wasn't re-run.
-        let base = parse_simmpi_baseline(&scale_result(&[1024, 4096, 16384]).to_json()).unwrap();
-        let cur = scale_result(&[1024, 4096]);
-        let report = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, false);
-        assert!(report.passed(), "{}", report.render());
-        assert_eq!(report.skipped, 1, "the 16384 cell");
-    }
-
-    #[test]
-    fn empty_comparison_is_a_failure() {
-        let base = synthetic(&["cg-fig21"], &[4]);
-        let cur = synthetic(&["ft-fig22"], &[8]);
-        let report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert!(!report.passed(), "nothing compared must not pass");
     }
 
     #[test]
     fn skipped_cells_are_named_not_just_counted() {
-        let base = synthetic(&["cg-fig21"], &[4, 16, 64]);
-        let cur = synthetic(&["cg-fig21"], &[4, 16]);
+        let base = interp(&["cg-fig21"], &[4, 16, 64]).cells();
         let report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            true,
+            &baseline(&base),
+            interp(&["cg-fig21"], &[4, 16]).cells(),
+            false,
         );
-        assert_eq!(report.skipped_cells, vec!["cg-fig21/64"]);
-        assert_eq!(report.skipped, report.skipped_cells.len());
+        assert!(report.passed(), "{}", report.render());
+        assert_eq!(
+            report.skipped,
+            ["cg-fig21/64/vm-speedup", "cg-fig21/64/vm-throughput"]
+        );
         assert!(report
             .render()
-            .contains("skipped baseline cell(s): cg-fig21/64"));
+            .contains("skipped baseline cell(s): cg-fig21/64/vm-speedup"));
+        // Another suite's baseline cells are not this run's to skip.
+        let mut both = base.clone();
+        both.extend(service().cells());
+        let report = compare(&baseline(&both), interp(&["cg-fig21"], &[4]).cells(), false);
+        assert_eq!(report.skipped.len(), 4, "{:?}", report.skipped);
     }
 
     #[test]
-    fn a_new_unmeasured_cell_is_a_hard_failure_unless_allowed() {
-        // Regenerating the benchmark grew a ranks=64 cell the committed
-        // baseline has never gated. Passing checks must not mask it.
-        let base = synthetic(&["cg-fig21"], &[4, 16]);
-        let cur = synthetic(&["cg-fig21"], &[4, 16, 64]);
-        let mut report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
+    fn a_new_unmeasured_cell_is_a_hard_failure() {
+        // The study grew a 64-rank cell the committed baseline has never
+        // gated. Passing checks must not mask it — in either mode, and
+        // whether or not the new cell is portable.
+        let base = baseline(&interp(&["cg-fig21"], &[4, 16]).cells());
+        for portable_only in [false, true] {
+            let report = compare(
+                &base,
+                interp(&["cg-fig21"], &[4, 16, 64]).cells(),
+                portable_only,
+            );
+            assert!(report.checks.iter().all(|c| c.ok));
+            assert_eq!(
+                report.new_cells,
+                ["cg-fig21/64/vm-speedup", "cg-fig21/64/vm-throughput"]
+            );
+            assert!(!report.passed(), "{}", report.render());
+            assert!(report.render().contains("[NEW ] cg-fig21/64/vm-speedup"));
+        }
+        // Same contract for the simmpi curve.
+        let report = compare(
+            &baseline(&scale(&[1024, 4096]).cells()),
+            scale(&[1024, 4096, 16384]).cells(),
             true,
         );
-        assert!(report.checks.iter().all(|c| c.ok));
-        assert_eq!(report.new_cells, vec!["cg-fig21/64"]);
+        assert_eq!(
+            report.new_cells,
+            [
+                "simmpi/16384/virt-throughput",
+                "simmpi/16384/wall-throughput",
+                "simmpi/16384/scaling-ratio"
+            ]
+        );
         assert!(!report.passed(), "{}", report.render());
-        assert!(report.render().contains("--allow-new-cells"));
-        report.allow_new_cells = true;
-        assert!(report.passed(), "{}", report.render());
+    }
 
-        // Same contract for the simmpi curve.
-        let base = parse_simmpi_baseline(&scale_result(&[1024, 4096]).to_json()).unwrap();
-        let cur = scale_result(&[1024, 4096, 16384]);
-        let report = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, false);
-        assert_eq!(report.new_cells, vec!["simmpi/16384"]);
-        assert!(!report.passed(), "{}", report.render());
+    #[test]
+    fn cells_round_trip_bit_exactly_through_jsonl() {
+        let mut cells = interp(&["cg-fig21", "ft-fig22"], &[4, 16]).cells();
+        cells.extend(service().cells());
+        cells.extend(scale(&[1024, 4096, 16384]).cells());
+        let parsed = parse_history(&jsonl(&cells, 7));
+        assert_eq!(parsed.len(), cells.len());
+        for (c, p) in cells.iter().zip(&parsed) {
+            assert_eq!((p.run, p.suite.as_str(), &p.cell), (7, c.suite, &c.key));
+            assert_eq!(p.value.to_bits(), c.value.to_bits(), "{}", c.key);
+        }
+        assert!(parse_history("not json").is_empty());
+        assert!(parse_history("{\"run\": 0, \"suite\": \"x\"}").is_empty());
     }
 
     #[test]
     fn history_jsonl_round_trips_and_tolerates_a_torn_tail() {
-        let rows = synthetic(&["cg-fig21"], &[4]);
-        let report = compare(
-            &to_baseline(&rows),
-            &InterpSpeedResult { rows: rows.clone() },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        let mut text = history_lines(&report, "interp", 3);
-        let cells = parse_history(&text);
-        assert_eq!(cells.len(), report.checks.len());
-        assert_eq!(cells[0].run, 3);
-        assert_eq!(cells[0].suite, "interp");
-        assert_eq!(cells[0].cell, "cg-fig21/4/vm-speedup");
-        assert!((cells[0].value - report.checks[0].current).abs() < 1e-12);
-        assert_eq!(next_history_run(&cells), 4);
+        let cells = interp(&["cg-fig21"], &[4]).cells();
+        let report = compare(&baseline(&cells), cells, false);
+        let mut text = history_lines(&report, 3);
+        let parsed = parse_history(&text);
+        assert_eq!(parsed.len(), report.checks.len());
+        assert_eq!(parsed[0].run, 3);
+        assert_eq!(parsed[0].suite, "interp");
+        assert_eq!(parsed[0].cell, "cg-fig21/4/vm-speedup");
+        assert_eq!(parsed[0].value, report.checks[0].cell.value);
+        assert_eq!(next_history_run(&parsed), 4);
         assert_eq!(next_history_run(&[]), 0);
 
         // A torn tail (interrupted append) drops itself and nothing
         // before it — the runtime WAL's valid-prefix semantics.
         text.push_str("{\"run\": 4, \"sui");
-        assert_eq!(parse_history(&text).len(), cells.len());
+        assert_eq!(parse_history(&text).len(), parsed.len());
         // Damage mid-file drops the suffix too: the prefix stays valid.
-        let torn = format!("{}garbage\n{}", history_lines(&report, "interp", 0), text);
-        assert_eq!(parse_history(&torn).len(), cells.len());
+        let torn = format!("{}garbage\n{}", history_lines(&report, 0), text);
+        assert_eq!(parse_history(&torn).len(), parsed.len());
+    }
+
+    #[test]
+    fn a_correctness_bit_is_never_statistical_nor_recorded() {
+        let cells = service().cells();
+        let base = baseline(&cells);
+        let mut broken = service();
+        broken.hot_backpressured = 0;
+        let mut report = compare(&base, broken.cells(), true);
+        let deep = hist("service", "service/16/backpressure-engaged", &[0.0; 6]);
+        apply_history(&mut report, &deep);
+        let bit = &report.checks[2];
+        assert_eq!(bit.cell.key, "service/16/backpressure-engaged");
+        assert!(!bit.ok && bit.stats.is_none());
+        assert!(!history_lines(&report, 0).contains("backpressure-engaged"));
+        assert!(jsonl(&cells, 0).contains("backpressure-engaged"));
     }
 
     fn hist(suite: &str, cell: &str, values: &[f64]) -> Vec<HistoryCell> {
@@ -1282,186 +944,113 @@ mod tests {
             .collect()
     }
 
+    /// One interp speedup check judged with `--stats`.
+    fn speedup_report(fresh: &InterpSpeedResult, history: &[HistoryCell]) -> GateReport {
+        let base = baseline(&interp(&["cg-fig21"], &[4]).cells());
+        let mut report = compare(&base, fresh.cells(), true);
+        apply_history(&mut report, history);
+        report
+    }
+
     #[test]
     fn shallow_history_keeps_the_fixed_tolerance_verdict() {
-        let rows = synthetic(&["cg-fig21"], &[4]);
-        let mut report = compare(
-            &to_baseline(&rows),
-            &InterpSpeedResult { rows: rows.clone() },
-            DEFAULT_TOLERANCE,
-            true,
-        );
         // Four recorded runs: one short of the minimum.
-        let history = hist("interp", "cg-fig21/4/vm-speedup", &[5.0, 5.0, 5.0, 5.0]);
-        apply_history(&mut report, "interp", &history);
-        assert!(
-            report.checks.iter().all(|c| c.stats.is_none()),
-            "shallow history must stay on the fixed band"
-        );
+        let history = hist("interp", "cg-fig21/4/vm-speedup", &[5.0; 4]);
+        let report = speedup_report(&interp(&["cg-fig21"], &[4]), &history);
+        assert!(report.checks[0].stats.is_none(), "{}", report.render());
         assert!(report.passed(), "{}", report.render());
         assert!(report.render().contains("[fixed tolerance]"));
     }
 
     #[test]
     fn deep_history_supersedes_the_fixed_band_in_both_directions() {
-        // The dogfood scenario. The committed BENCH_interp.json was
-        // measured on a faster-relative machine: this machine's speedup
-        // sits ~29% below it, outside the fixed band. With five recorded
-        // runs centered on what *this* machine actually measures, the
-        // history verdict accepts it with room to spare…
-        let base = synthetic(&["cg-fig21"], &[4]);
-        let mut cur = base.clone();
-        for r in cur.iter_mut().filter(|r| r.backend == "tree-walker") {
-            r.wall_ns = r.wall_ns * 100 / 140; // speedup 5x*100/140 ≈ 3.57: 28.6% down
-        }
-        let mut report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            false,
+        // The baseline was measured on a faster-relative machine: this
+        // machine's speedup sits ~29 % below it, outside the fixed band.
+        // Five recorded runs centred on what *this* machine measures
+        // accept it…
+        let mut fresh = interp(&["cg-fig21"], &[4]);
+        scale_wall(&mut fresh, Some("tree-walker"), 100.0 / 140.0);
+        assert!(
+            !speedup_report(&fresh, &[]).passed(),
+            "28% down fails the band"
         );
-        assert!(!report.passed(), "28% down fails the fixed band");
-        let measured = report.checks[0].current;
+        let m = fresh.speedup("cg-fig21", 4).unwrap();
         let history = hist(
             "interp",
             "cg-fig21/4/vm-speedup",
-            &[
-                measured * 1.01,
-                measured * 0.99,
-                measured,
-                measured * 1.02,
-                measured,
-            ],
+            &[m * 1.01, m * 0.99, m, m * 1.02, m],
         );
-        apply_history(&mut report, "interp", &history);
+        let report = speedup_report(&fresh, &history);
         assert!(report.passed(), "{}", report.render());
-        let stats = report.checks[0].stats.as_ref().expect("history verdict");
-        assert_eq!(stats.samples, 5);
+        assert_eq!(report.checks[0].stats.as_ref().unwrap().samples, 5);
 
         // …and a drop the fixed band would wave through fails once the
-        // history shows the cell never moves: 15% below a tight regime.
-        let mut report2 = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: base.clone() },
-            DEFAULT_TOLERANCE,
-            false,
-        );
-        assert!(report2.passed(), "identical run passes the fixed band");
-        let cur_val = report2.checks[0].current;
+        // history shows the cell never moves: 15 % below a tight regime.
+        let same = interp(&["cg-fig21"], &[4]);
+        assert!(speedup_report(&same, &[]).passed());
+        let v = same.speedup("cg-fig21", 4).unwrap();
         let tight = hist(
             "interp",
             "cg-fig21/4/vm-speedup",
-            &[
-                cur_val * 1.18,
-                cur_val * 1.17,
-                cur_val * 1.18,
-                cur_val * 1.19,
-                cur_val * 1.18,
-            ],
+            &[v * 1.18, v * 1.17, v * 1.18, v * 1.19, v * 1.18],
         );
-        apply_history(&mut report2, "interp", &tight);
-        assert!(
-            !report2.passed(),
-            "a 15% drop below a tight history regime must fail: {}",
-            report2.render()
-        );
+        let report = speedup_report(&same, &tight);
+        assert!(!report.passed(), "{}", report.render());
     }
 
     #[test]
-    fn synthetic_2x_slowdown_fails_the_stats_gate_too() {
-        // The acceptance scenario: `repro interp --check --stats` must
-        // exit nonzero on a 2x slowdown even when the history is deep.
-        let base = synthetic(&["cg-fig21"], &[4]);
-        let healthy = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: base.clone() },
-            DEFAULT_TOLERANCE,
-            false,
-        );
-        let good = healthy.checks[0].current;
+    fn a_2x_slowdown_fails_the_stats_gate_too() {
+        let good = interp(&["cg-fig21"], &[4]).speedup("cg-fig21", 4).unwrap();
         let history = hist(
             "interp",
             "cg-fig21/4/vm-speedup",
             &[good, good * 1.01, good * 0.99, good, good * 1.02, good],
         );
-        let mut slow = base.clone();
-        for r in slow.iter_mut().filter(|r| r.backend == "vm") {
-            r.wall_ns *= 2;
-            r.wall_ns_per_sim_sec *= 2.0;
-        }
-        let mut report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: slow },
-            DEFAULT_TOLERANCE,
-            false,
-        );
-        apply_history(&mut report, "interp", &history);
+        let mut slow = interp(&["cg-fig21"], &[4]);
+        scale_wall(&mut slow, Some("vm"), 2.0);
+        let report = speedup_report(&slow, &history);
         assert!(!report.passed(), "{}", report.render());
-        let check = &report.checks[0];
-        assert!(check.stats.is_some(), "verdict must come from history");
-        assert!(!check.ok);
+        assert!(report.checks[0].stats.is_some(), "verdict from history");
     }
 
     #[test]
     fn a_regime_change_in_history_resets_the_reference() {
-        // Five runs on the old CI machine (speedup ~6.4), five on the
-        // new one (~5.0): the change-point split must judge against the
-        // *latest* regime, not the pooled history.
+        // Five runs on the old CI machine (speedup ~6.4), five on the new
+        // one (~5.0): judge against the *latest* regime only.
         let series = [6.4, 6.38, 6.42, 6.41, 6.39, 5.0, 4.98, 5.02, 5.01, 4.99];
         let history = hist("interp", "cg-fig21/4/vm-speedup", &series);
-        let judge = |current: f64| {
-            let mut check = GateCheck {
-                workload: "cg-fig21".into(),
-                ranks: 4,
-                metric: "vm-speedup",
-                baseline: 6.4,
-                current,
-                ok: true,
-                stats: None,
-            };
-            let mut report = GateReport {
-                checks: vec![check.clone()],
-                tolerance: DEFAULT_TOLERANCE,
-                ..GateReport::default()
-            };
-            apply_history(&mut report, "interp", &history);
-            check = report.checks.pop().unwrap();
+        let judge = |speedup: f64| {
+            let cell = Cell::ratio("interp", "cg-fig21/4/vm-speedup".into(), speedup);
+            let mut report = compare(&hist("interp", &cell.key, &[6.4]), vec![cell], true);
+            apply_history(&mut report, &history);
+            let check = report.checks.pop().unwrap();
             let stats = check.stats.expect("deep history");
             assert_eq!(stats.regime_len, 5, "latest regime only");
             assert!((stats.median - 5.0).abs() < 0.05);
             check.ok
         };
         assert!(judge(5.0), "the new machine's own value passes");
-        assert!(
-            !judge(5.0 * 0.85),
-            "15% below the new regime fails even though it is within 25% of nothing in particular"
-        );
+        assert!(!judge(5.0 * 0.85), "15% below the new regime fails");
         assert!(judge(6.4), "faster than the regime is never a regression");
     }
 
     #[test]
-    fn deterministic_metrics_get_the_tight_floor() {
-        // virt-throughput is virtual time: a 5% dip is a simulation
-        // change, and the 1% floor must catch it where the wall-derived
-        // 10% floor would not.
-        let history = hist("simmpi", "simmpi/1024/virt-throughput", &[49_152.0; 6]);
-        let mut report = GateReport {
-            checks: vec![GateCheck {
-                workload: "simmpi".into(),
-                ranks: 1024,
-                metric: "virt-throughput",
-                baseline: 49_152.0,
-                current: 49_152.0 * 0.95,
-                ok: true,
-                stats: None,
-            }],
-            tolerance: DEFAULT_TOLERANCE,
-            ..GateReport::default()
+    fn deterministic_cells_get_the_tight_floor() {
+        // A 5 % dip of a virtual-time figure is a simulation change: the
+        // 1 % floor catches it where the wall 10 % floor would not.
+        let key = "simmpi/1024/virt-throughput";
+        let history = hist("simmpi", key, &[49_152.0; 6]);
+        let judge = |value: f64| {
+            let cell = Cell::virtual_time("simmpi", key.into(), value, Worse::Lower);
+            let mut report = compare(&hist("simmpi", key, &[49_152.0]), vec![cell], true);
+            apply_history(&mut report, &history);
+            report.checks[0].ok
         };
-        apply_history(&mut report, "simmpi", &history);
-        assert!(!report.passed(), "{}", report.render());
-        report.checks[0].current = 49_152.0 * 0.995;
-        apply_history(&mut report, "simmpi", &history);
-        assert!(report.checks[0].ok, "0.5% is inside the 1% floor");
+        assert!(!judge(49_152.0 * 0.95));
+        assert!(judge(49_152.0 * 0.995), "0.5% is inside the 1% floor");
+        let wall = Cell::ratio("simmpi", key.into(), 49_152.0 * 0.95);
+        let mut report = compare(&hist("simmpi", key, &[49_152.0]), vec![wall], true);
+        apply_history(&mut report, &history);
+        assert!(report.checks[0].ok, "a wall-derived cell gets 10%");
     }
 }

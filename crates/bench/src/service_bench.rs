@@ -19,8 +19,7 @@
 //!
 //! The study also measures the service's sustained throughput
 //! (batches per wall-clock second) and per-tenant p99 virtual-time
-//! ingest latency — the `BENCH_service.json` trajectory gated by
-//! `repro service --check`.
+//! ingest latency — the cells `repro service --check` gates.
 
 use std::fmt::Write;
 use std::sync::Arc;
@@ -34,6 +33,7 @@ use vsensor_interp::{InstrumentedRun, RunConfig};
 use vsensor_runtime::{AnalysisService, TenantChannel, TenantId, TenantSpec, TenantStats};
 
 use crate::failstop::first_mismatch;
+use crate::perf_gate::{Cell, Worse};
 use crate::Effort;
 
 /// Result of the multi-tenant service study.
@@ -90,22 +90,37 @@ impl ServiceBenchResult {
         self.batches_total as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 
-    /// The committed `BENCH_service.json` shape: a flat array of
-    /// `{"metric", "value"}` rows.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        let rows = [
-            ("p99_hot_ingest_ns", self.p99_hot_ingest_ns as f64),
-            ("p99_steady_ingest_ns", self.p99_steady_ingest_ns as f64),
-            ("hot_backpressured", self.hot_backpressured as f64),
-            ("batches_per_wall_sec", self.batches_per_wall_sec()),
-        ];
-        for (i, (metric, value)) in rows.iter().enumerate() {
-            let _ = write!(out, "  {{\"metric\": \"{metric}\", \"value\": {value}}}");
-            out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("]\n");
-        out
+    /// The gate's cells: the p99 ingest latencies are virtual time
+    /// (portable), the hot tenant must still engage backpressure (a
+    /// correctness bit), and the batches-per-wall-second throughput is
+    /// absolute.
+    pub fn cells(&self) -> Vec<Cell> {
+        let key = |metric| format!("service/{}/{metric}", self.tenants);
+        vec![
+            Cell::virtual_time(
+                "service",
+                key("p99-hot-ingest"),
+                self.p99_hot_ingest_ns as f64,
+                Worse::Higher,
+            ),
+            Cell::virtual_time(
+                "service",
+                key("p99-steady-ingest"),
+                self.p99_steady_ingest_ns as f64,
+                Worse::Higher,
+            ),
+            Cell::positive(
+                "service",
+                key("backpressure-engaged"),
+                self.hot_backpressured as f64,
+            ),
+            Cell::wall(
+                "service",
+                key("service-throughput"),
+                self.batches_per_wall_sec(),
+                Worse::Lower,
+            ),
+        ]
     }
 
     /// Render the study.
@@ -336,7 +351,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn service_json_is_flat_metric_rows() {
+    fn service_cells_carry_the_gated_metrics() {
         let r = ServiceBenchResult {
             tenants: 16,
             ranks_per_tenant: 4,
@@ -352,10 +367,15 @@ mod tests {
             batches_total: 1_000,
             wall: std::time::Duration::from_secs(2),
         };
-        let json = r.to_json();
-        assert!(json.contains("\"metric\": \"p99_hot_ingest_ns\", \"value\": 1234"));
-        assert!(json.contains("\"metric\": \"hot_backpressured\", \"value\": 42"));
-        assert!(json.contains("\"metric\": \"batches_per_wall_sec\", \"value\": 500"));
-        assert!((r.batches_per_wall_sec() - 500.0).abs() < 1e-9);
+        let cells: Vec<(String, f64)> = r.cells().into_iter().map(|c| (c.key, c.value)).collect();
+        assert_eq!(
+            cells,
+            [
+                ("service/16/p99-hot-ingest".to_string(), 1_234.0),
+                ("service/16/p99-steady-ingest".to_string(), 567.0),
+                ("service/16/backpressure-engaged".to_string(), 42.0),
+                ("service/16/service-throughput".to_string(), 500.0),
+            ]
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! Four-ary min-heap for the event scheduler's run queue.
 //!
 //! Once group wake-ups are batched (see [`crate::sched`]), the run queue
-//! only carries per-rank wake-ups: compute slices and p2p receives. The
-//! `schedheap` microbenchmark in the bench crate measures three
-//! candidates on that access pattern — the old
+//! only carries per-rank wake-ups: compute slices and p2p receives. A
+//! microbenchmark (since removed) measured three candidates on that
+//! access pattern — the old
 //! `BinaryHeap<Reverse<(VirtualTime, usize, u64)>>`, this four-ary heap,
 //! and a bucketed calendar queue. The calendar queue loses by 30–100×
 //! (the schedule's instants cluster so tightly that bucket scans

@@ -31,8 +31,8 @@
 //! * **Group wake-ups are batched.** A completed rendezvous contributes
 //!   one batch (O(1) heap-equivalent work), not `p` heap pushes.
 //! * **The run queue is a four-ary heap** ([`crate::heap::FourAryHeap`]),
-//!   half the depth of the old binary heap on the pop-heavy schedule (see
-//!   the `schedheap` microbenchmark in the bench crate).
+//!   half the depth of the old binary heap on the pop-heavy schedule
+//!   (see [`crate::heap`] for the measured comparison).
 //!
 //! # How the scheduler and the oracle stay bit-identical
 //!
